@@ -479,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pending-query budget before 429 load shedding")
     p.add_argument("--batch-window", type=float,
                    default=defaults.batch_window_s, metavar="S",
-                   help="coalescing window before each engine batch")
+                   help="coalescing window before each engine batch; applies "
+                   "only to queries that need the store or the engine (memo "
+                   "hits are answered at admission)")
     p.add_argument("--max-batch", type=int, default=defaults.max_batch,
                    help="queries per simulate_conv_batch call at most")
     p.add_argument("--workers", type=int, default=defaults.workers,

@@ -45,6 +45,7 @@ HELP_TEXT: Dict[str, str] = {
     "repro_store_hit_rate": "Persistent result-store hit rate (hits / lookups).",
     "repro_store_corrupt_skipped": "Corrupt store records skipped (recomputed) so far.",
     "repro_serve_requests_total": "Timing queries admitted by the serve daemon.",
+    "repro_serve_admission_hits_total": "Queries answered from the in-memory memo at admission, skipping the batch window.",
     "repro_serve_deduped_total": "Queries answered by an identical in-flight query's future.",
     "repro_serve_shed_total": "Queries refused with 429 because the pending budget was exhausted.",
     "repro_serve_batches_total": "simulate_conv_batch calls issued by the serve batcher.",

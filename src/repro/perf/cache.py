@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import threading
 from typing import Any, Callable, Optional, Tuple
 
 from repro.trace import tracer as _trace
@@ -128,10 +129,13 @@ class SimulationCache:
 
     __slots__ = (
         "_store", "_aliases", "hits", "misses", "canonical_hits",
-        "persistent_hits", "enabled", "backing",
+        "persistent_hits", "enabled", "backing", "_lock",
     )
 
     def __init__(self, enabled: bool = True):
+        #: Guards the memory tiers and counters: the serve daemon probes
+        #: on its event loop while a batch prices in an executor thread.
+        self._lock = threading.Lock()
         self._store: dict = {}
         self._aliases = 0
         self.hits = 0
@@ -160,11 +164,19 @@ class SimulationCache:
     # The batched engine needs the lookup split from the compute so it can
     # price all misses in one shot while keeping the hit/miss stream
     # identical to a per-layer loop.
-    def probe(self, key: Tuple, canonical_key: Optional[Tuple] = None):
+    def probe(
+        self,
+        key: Tuple,
+        canonical_key: Optional[Tuple] = None,
+        memory_only: bool = False,
+    ):
         """One counted lookup: ``(found, value)``.
 
         Counts exactly what a :meth:`get_or_compute` call would have counted
         for the same keys (a canonical-key serve aliases the exact key).
+        With ``memory_only`` the attached store is not consulted and a miss
+        counts nothing: the serve daemon answers in-memory hits at admission
+        and leaves the miss, store read included, to the batcher's probe.
 
         Each probe notes its serving tier (``exact``/``canonical``/
         ``persistent``/``miss``) on the status beacon — an attribute bump,
@@ -172,51 +184,52 @@ class SimulationCache:
         ``cache.probe`` instant so request span trees show which tier
         answered.
         """
-        value = self._store.get(key, _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            self._note_probe("exact")
-            return True, value
-        if canonical_key is not None and canonical_key != key:
-            value = self._store.get(canonical_key, _MISSING)
+        with self._lock:
+            value = self._store.get(key, _MISSING)
             if value is not _MISSING:
                 self.hits += 1
-                self.canonical_hits += 1
-                self._store[key] = value
-                self._aliases += 1
-                self._note_probe("canonical")
+                self._note_probe("exact")
                 return True, value
+            if canonical_key is not None and canonical_key != key:
+                value = self._store.get(canonical_key, _MISSING)
+                if value is not _MISSING:
+                    self.hits += 1
+                    self.canonical_hits += 1
+                    self._store[key] = value
+                    self._aliases += 1
+                    self._note_probe("canonical")
+                    return True, value
+            if memory_only:
+                return False, None
+        # The store read runs unlocked: its disk I/O must not stall a
+        # concurrent memory probe (the serve daemon's event loop).
+        found = False
         if self.backing is not None:
             found, value, _ = self.backing.load(key, canonical_key)
-            if found:
-                self.hits += 1
-                self.persistent_hits += 1
-                self._store[key] = value
-                if canonical_key is not None and canonical_key != key:
-                    if self._store.setdefault(canonical_key, value) is value:
-                        self._aliases += 1
-                self._note_probe("persistent")
-                return True, value
-        self.misses += 1
-        self._note_probe("miss")
-        return False, None
+        with self._lock:
+            if not found:
+                self.misses += 1
+                self._note_probe("miss")
+                return False, None
+            self.hits += 1
+            self.persistent_hits += 1
+            self._store[key] = value
+            if canonical_key is not None and canonical_key != key:
+                if self._store.setdefault(canonical_key, value) is value:
+                    self._aliases += 1
+            self._note_probe("persistent")
+            return True, value
 
     def peek(self, key: Tuple, canonical_key: Optional[Tuple] = None):
-        """Uncounted lookup: ``(found, value)``, no stats, no beacon.
+        """Uncounted store-tier lookup: ``(found, value)``, no stats, no beacon.
 
         The serve daemon's *store-only* degradation rung answers warm hits
-        and honestly 503s misses; its admission probe must not perturb the
-        hit/miss accounting the batcher uses to count fresh simulations.
-        A memory hit does not promote or alias; a backing-store hit is
-        promoted (that read already paid the disk I/O).
+        and honestly 503s misses.  Its memory tiers were already probed at
+        admission (``probe(..., memory_only=True)``); this read of the
+        attached store must not perturb the hit/miss accounting the batcher
+        uses to count fresh simulations.  A hit is promoted into memory
+        (the read already paid the disk I/O).
         """
-        value = self._store.get(key, _MISSING)
-        if value is not _MISSING:
-            return True, value
-        if canonical_key is not None and canonical_key != key:
-            value = self._store.get(canonical_key, _MISSING)
-            if value is not _MISSING:
-                return True, value
         if self.backing is not None:
             found, value, _ = self.backing.load(key, canonical_key)
             if found:
@@ -238,19 +251,21 @@ class SimulationCache:
         loop would have stored the first job's value before looking the
         second one up, so the faithful count is a hit.
         """
-        self.misses -= 1
-        self.hits += 1
-        if canonical:
-            self.canonical_hits += 1
+        with self._lock:
+            self.misses -= 1
+            self.hits += 1
+            if canonical:
+                self.canonical_hits += 1
 
     def store(self, key: Tuple, value: Any, canonical_key: Optional[Tuple] = None) -> None:
         """Insert a computed value (no counter changes; no-op when disabled)."""
         if not self.enabled:
             return
-        self._store[key] = value
-        if canonical_key is not None and canonical_key != key:
-            if self._store.setdefault(canonical_key, value) is value:
-                self._aliases += 1
+        with self._lock:
+            self._store[key] = value
+            if canonical_key is not None and canonical_key != key:
+                if self._store.setdefault(canonical_key, value) is value:
+                    self._aliases += 1
         if self.backing is not None:
             self.backing.save(key, value, canonical_key)
 

@@ -11,10 +11,15 @@ Request handling is built for fleets of duplicate queries:
 - **dedup**: queries are keyed by the simulator's own cache key; a query
   identical to one already in flight awaits the same future — N clients
   asking for ResNet conv3_1 cost one simulation;
-- **batching**: queued queries are drained every ``batch_window_s`` (or
-  when ``max_batch`` accumulate) and grouped by hardware config into
-  single :meth:`TPUSim.simulate_conv_batch` calls, so the batched
-  schedule engine amortizes pricing exactly as the harness does;
+- **hits at admission**: a query whose exact or canonical key is in the
+  in-memory memo is answered by :meth:`SimulationService.submit` itself,
+  with one counted probe (:meth:`TPUSim.probe_conv`) — it never waits
+  for the batcher;
+- **batching**: queries that need the store or the engine are drained
+  every ``batch_window_s`` (or when ``max_batch`` accumulate) and grouped
+  by hardware config into single :meth:`TPUSim.simulate_conv_batch`
+  calls, so the batched schedule engine amortizes pricing exactly as the
+  harness does;
 - **load shedding**: admission consults the service's
   :class:`~repro.resilience.supervisor.ErrorBudget` — when the pending
   backlog exceeds the configured budget the query is refused with HTTP
@@ -43,6 +48,10 @@ And for everything the fault injector can throw at it (DESIGN.md §4l):
   → ``drain``.  The current rung is exposed in ``/statusz``, ``repro
   top`` and the ``repro_serve_degraded`` gauge, with a flight-recorder
   dump on every rung change;
+- **persistent connections** — HTTP/1.1 requests are served in a loop
+  on one connection, closed after ``Connection: close``, HTTP/1.0, a 400
+  or protocol error, during a drain, or silently when no byte of a next
+  request arrives within ``header_timeout_s``;
 - **protocol hardening** — slowloris headers, truncated or oversized
   bodies and garbage JSON each get a clean 4xx/408 within a bounded
   time, never a hung connection or a dead worker;
@@ -78,7 +87,7 @@ import json
 import signal
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.conv_spec import ConvSpec
 from ..core.layouts import Layout
@@ -177,7 +186,8 @@ class ServeConfig:
     port: int = 8707
     #: Pending-query budget; admission beyond it sheds with HTTP 429.
     max_pending: int = 256
-    #: Seconds the batcher waits to let concurrent queries coalesce.
+    #: Seconds the batcher waits to let concurrent queries coalesce
+    #: (memo hits are answered at admission and never wait).
     batch_window_s: float = 0.005
     #: Queries drained into one ``simulate_conv_batch`` call at most.
     max_batch: int = 64
@@ -189,7 +199,8 @@ class ServeConfig:
     default_deadline_ms: float = 30_000.0
     #: Request bodies beyond this answer 413 without being read.
     max_body_bytes: int = 1 << 20
-    #: Seconds a client may take to finish sending headers (slowloris cap).
+    #: Seconds a client may take to finish sending headers (slowloris cap),
+    #: and that an idle keep-alive connection waits for its next request.
     header_timeout_s: float = 10.0
     #: Seconds a client may take to deliver a Content-Length'd body.
     body_timeout_s: float = 10.0
@@ -217,23 +228,6 @@ class ServeConfig:
     retry_after_drain_s: float = 5.0
 
 
-def spec_fingerprint(
-    config: TPUConfig, spec: ConvSpec, resolved_group: int, layout: Layout
-) -> str:
-    """Canonical fingerprint a circuit breaker keys on.
-
-    Built from the same symmetry-folded key the memo cache shares work
-    under (:meth:`TPUSim._conv_canonical_key`): renamed / transposed /
-    dilation-folded copies of one hostile spec meet one breaker.
-    """
-    canon, _ = canonical_spec(spec)
-    key = (
-        "tpu-conv@c", config_key(config), spec_key(canon),
-        resolved_group, canonical_layout(layout),
-    )
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16]
-
-
 @dataclasses.dataclass(frozen=True)
 class Query:
     """One admitted, validated timing query."""
@@ -243,7 +237,12 @@ class Query:
     group_size: Optional[int]
     layout: Layout
     key: Tuple  # the simulator's exact cache key — also the dedup key
-    #: Canonical-spec digest the circuit breaker tracks this query under.
+    #: The symmetry-folded secondary cache key
+    #: (:meth:`TPUSim._conv_canonical_key`).
+    canonical: Tuple
+    #: Digest of ``canonical`` that the circuit breaker keys on: renamed /
+    #: transposed / dilation-folded copies of one hostile spec meet one
+    #: breaker.
     fingerprint: str = ""
     #: The request's trace context (excluded from equality/hashing so two
     #: identical queries from different requests still dedup onto one key).
@@ -298,20 +297,19 @@ class Query:
             if group_size is not None
             else tpu_multi_tile_policy(spec, config.array_rows)
         )
-        key = ("tpu-conv", config_key(config), spec_key(spec), resolved, layout.value)
-        return cls(
-            spec=spec, config=config, group_size=group_size,
-            layout=layout, key=key,
-            fingerprint=spec_fingerprint(config, spec, resolved, layout),
+        cfg = config_key(config)
+        canon, _ = canonical_spec(spec)
+        canonical = (
+            "tpu-conv@c", cfg, spec_key(canon), resolved,
+            canonical_layout(layout),
         )
-
-    def canonical_key(self) -> Tuple:
-        """The symmetry-folded secondary cache key (store-only probes)."""
-        canon, _ = canonical_spec(self.spec)
-        resolved = self.key[3]
-        return (
-            "tpu-conv@c", self.key[1], spec_key(canon),
-            resolved, canonical_layout(self.layout),
+        return cls(
+            spec=spec, config=config, group_size=group_size, layout=layout,
+            key=("tpu-conv", cfg, spec_key(spec), resolved, layout.value),
+            canonical=canonical,
+            fingerprint=hashlib.sha256(
+                repr(canonical).encode("utf-8")
+            ).hexdigest()[:16],
         )
 
 
@@ -480,7 +478,9 @@ class SimulationService:
     def submit(self, query: Query) -> asyncio.Future:
         """Admit one query; returns the future its result resolves on.
 
-        Raises :class:`Draining` during shutdown (or on the drain rung),
+        After the drain and breaker gates, a warm in-memory hit comes back
+        as an already-resolved future; only a cold query joins an
+        in-flight twin or the batch queue.  Raises :class:`Draining` during shutdown (or on the drain rung),
         :class:`BreakerOpen` when the spec's breaker refuses,
         :class:`StoreOnlyMiss` on a cold spec at the store-only rung and
         :class:`LoadShed` when the backlog exhausted the budget.
@@ -506,24 +506,34 @@ class SimulationService:
             self.registry.inc_counter("repro_serve_breaker_fastfail_total")
             raise
         loop = asyncio.get_running_loop()
-        if self.rung >= RUNG_STORE_ONLY:
-            # Store-only: answer warm memo/store hits, refuse cold specs.
-            found, value = SIM_CACHE.peek(query.key, query.canonical_key())
+        store_only = self.rung >= RUNG_STORE_ONLY
+        try:
+            hit = self._admission_hit(query, store_only)
+        except Exception as err:
+            # The hit failed its --audit checks: charge it exactly as a
+            # failed pricing pass would (the request answers 500).
             self.budget.tasks += 1
-            if not found:
-                self.budget.failed += 1
-                self.budget.count_fault("StoreOnlyMiss")
-                self.registry.inc_counter("repro_serve_store_only_miss_total")
-                raise StoreOnlyMiss(
-                    "degraded to store-only and this spec is not warm"
-                )
-            self.budget.succeeded += 1
-            name = query.spec.describe() or "conv"
-            if value.name != name:
-                value = dataclasses.replace(value, name=name)
-            future: asyncio.Future = loop.create_future()
-            future.set_result(value)
+            self._charge_failure(query, err)
+            future = loop.create_future()
+            future.set_exception(err)
             return future
+        if hit is not None:
+            # A warm hit skips dedup, the queue and the batch window.
+            self.budget.tasks += 1
+            self.budget.succeeded += 1
+            self.breakers.record_success(query.fingerprint)
+            self.registry.inc_counter("repro_serve_admission_hits_total")
+            future = loop.create_future()
+            future.set_result(hit)
+            return future
+        if store_only:
+            self.budget.tasks += 1
+            self.budget.failed += 1
+            self.budget.count_fault("StoreOnlyMiss")
+            self.registry.inc_counter("repro_serve_store_only_miss_total")
+            raise StoreOnlyMiss(
+                "degraded to store-only and this spec is not warm"
+            )
         existing = self._inflight.get(query.key)
         if existing is not None:
             # Identical query already in flight: same future, no new task.
@@ -560,6 +570,23 @@ class SimulationService:
         if self._wakeup is not None:
             self._wakeup.set()
         return future
+
+    def _admission_hit(self, query: Query, store_only: bool):
+        """The finished memo hit for ``query``, or None when it is cold.
+
+        One counted probe of the in-memory tiers; a miss counts nothing
+        (the batcher's own probe counts it, store read included).  On the
+        store-only rung an uncounted store-tier peek follows, since no
+        batcher will run.  An injected poison spec never takes this path,
+        so it fails in the batcher as before.  Raises what the batched
+        path raises for the same hit: a failed ``--audit`` check.
+        """
+        if not SIM_CACHE.enabled or self._poisoned(query.spec):
+            return None
+        return self._sim_for(query).probe_conv(
+            query.spec, query.key, query.canonical, query.key[3],
+            query.layout, memory_only=True, peek_store=store_only,
+        )
 
     def release(self, query: Query, timed_out: bool = False) -> None:
         """One waiter is done with ``query`` (answered, failed, or gave up).
@@ -615,13 +642,20 @@ class SimulationService:
             await self._price_batch(batch)
 
     @staticmethod
-    def _check_poison(specs: List[ConvSpec]) -> None:
-        """Raise the injected AuditFault for a seeded poison spec, if any."""
+    def _poisoned(spec: ConvSpec) -> bool:
+        """True when an injected ``poison=`` plan names this spec."""
         plan = fault_injection.get_active()
-        if plan is None or not plan.poison_spec:
-            return
+        return (
+            plan is not None
+            and bool(plan.poison_spec)
+            and plan.poison_matches(spec.name)
+        )
+
+    @classmethod
+    def _check_poison(cls, specs: List[ConvSpec]) -> None:
+        """Raise the injected AuditFault for a seeded poison spec, if any."""
         for spec in specs:
-            if plan.poison_matches(spec.name):
+            if cls._poisoned(spec):
                 raise AuditFault(
                     f"injected poison spec {spec.name!r} "
                     "(--inject-faults poison=)"
@@ -646,12 +680,21 @@ class SimulationService:
 
     def _fail(self, query: Query, err: BaseException) -> None:
         """Fail one priced query: future, budget, breaker bookkeeping."""
-        self.budget.failed += 1
-        self.budget.count_fault(type(err).__name__)
-        self._record_breaker_failure(query, type(err).__name__, str(err))
+        self._charge_failure(query, err)
         future = self._inflight.pop(query.key, None)
         if future is not None and not future.done():
             future.set_exception(err)
+
+    def _charge_failure(self, query: Query, err: BaseException) -> None:
+        """Budget and breaker bookkeeping for one failed query."""
+        self.budget.failed += 1
+        self.budget.count_fault(type(err).__name__)
+        self._record_breaker_failure(query, type(err).__name__, str(err))
+        obs_log.error(
+            "serve.query_failed",
+            spec=query.spec.describe(), fingerprint=query.fingerprint,
+            error=str(err),
+        )
 
     def _record_breaker_failure(
         self, query: Query, fault: str, message: str
@@ -729,11 +772,6 @@ class SimulationService:
                 result = await loop.run_in_executor(None, _price_one)
             except Exception as err:
                 self._fail(query, err)
-                obs_log.error(
-                    "serve.query_failed",
-                    spec=query.spec.describe(), fingerprint=query.fingerprint,
-                    error=str(err),
-                )
             else:
                 self.simulations += SIM_CACHE.misses - misses_before
                 self._settle(query, result)
@@ -843,6 +881,10 @@ class ReproServer:
         self.worker_index = worker_index
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_seq = 0
+        #: Writers of connections waiting for a request's first byte.
+        self._idle: Set[asyncio.StreamWriter] = set()
+        #: Set once shutdown closes idle connections: no request waits.
+        self._closing = False
 
     # ------------------------------------------------------------ lifecycle
     async def start(self, sock=None) -> Tuple[str, int]:
@@ -871,6 +913,11 @@ class ReproServer:
         await self.service.drain()
         if self._server is not None:
             self._server.close()
+            # Every answer from now on says ``Connection: close``; idle
+            # keep-alive connections have nothing in flight, so close them.
+            self._closing = True
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         obs_log.info("serve.stopped", budget=self.service.budget.to_dict())
@@ -906,19 +953,58 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve HTTP/1.1 requests on one connection until it closes."""
         if self._chaos_abort(writer):
             return
+        try:
+            while await self._serve_one(reader, writer):
+                pass
+        except (ConnectionError, OSError, asyncio.TimeoutError):
+            pass  # client went away mid-response; nothing left to tell it
+        finally:
+            self._idle.discard(writer)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _serve_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read, answer and time one request; True keeps the connection.
+
+        A connection that sends no byte of a request within
+        ``header_timeout_s`` (or closes) is closed silently: idle time
+        between keep-alive requests is not an error and is never timed.
+        """
+        if self._closing:
+            return False
+        timeout = self.service.config.header_timeout_s
+        self._idle.add(writer)
+        try:
+            first = await asyncio.wait_for(reader.read(1), timeout=timeout)
+        except asyncio.TimeoutError:
+            first = b""
+        finally:
+            self._idle.discard(writer)
+        if not first:
+            return False
+        started = time.perf_counter()  # the request's first byte
         ctx: Optional[trace_context.TraceContext] = None
-        started = time.perf_counter()
         route = "other"
         extra_headers: Dict[str, str] = {}
+        keep_alive = False
         discard_input = False
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return  # connection opened and closed without a request
-            method, path, headers, body = request
+            method, path, version, headers, body = await self._read_request(
+                reader, first
+            )
             route = path if path in KNOWN_ROUTES else "other"
+            keep_alive = version == "HTTP/1.1" and "close" not in {
+                token.strip()
+                for token in headers.get("connection", "").lower().split(",")
+            }
             # One trace context per request: continue the caller's trace
             # when a traceparent header arrived, else mint a fresh root.
             ctx = trace_context.TraceContext.from_traceparent(
@@ -936,12 +1022,14 @@ class ReproServer:
         except ProtocolError as err:
             status, content_type = err.status, _JSON
             payload = json.dumps(self._error_body(str(err)))
+            keep_alive = False
             discard_input = True  # see the drain below the response write
         except Exception as err:  # never tear the connection on a bug
             status, content_type = 500, _JSON
             payload = json.dumps(
                 self._error_body(f"{type(err).__name__}: {err}")
             )
+            keep_alive = False
         elapsed = time.perf_counter() - started
         self.service.registry.observe(
             f'repro_serve_request_seconds{{route="{route}"}}', elapsed
@@ -952,50 +1040,45 @@ class ReproServer:
             self.service.record_sample(
                 elapsed * 1000.0, ok=status < 500 and status != 429
             )
-        try:
-            data = payload.encode("utf-8")
-            extra = ""
-            if ctx is not None:
-                extra += f"X-Repro-Trace-Id: {ctx.trace_id}\r\n"
-            if self.run_id:
-                extra += f"X-Repro-Run-Id: {self.run_id}\r\n"
-            for name, value in extra_headers.items():
-                extra += f"{name}: {value}\r\n"
-            writer.write(
-                (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"{extra}"
-                    "Connection: close\r\n\r\n"
-                ).encode("ascii")
-                + data
-            )
-            await writer.drain()
-            if discard_input:
-                # A hostile request likely has unsent/unread bytes in
-                # flight; closing with unread data makes the kernel RST
-                # the connection and *destroy the error response*.
-                # Briefly drain and discard so the 4xx actually arrives.
-                loop = asyncio.get_running_loop()
-                deadline = loop.time() + 0.25
-                while True:
-                    budget_s = deadline - loop.time()
-                    if budget_s <= 0:
-                        break
-                    chunk = await asyncio.wait_for(
-                        reader.read(1 << 16), timeout=budget_s
-                    )
-                    if not chunk:
-                        break
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            pass  # client went away mid-response; nothing left to tell it
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        # A 400 means the stream may hold more garbage: never read on.
+        keep_alive = keep_alive and status != 400 and not self.service.draining
+        data = payload.encode("utf-8")
+        extra = ""
+        if ctx is not None:
+            extra += f"X-Repro-Trace-Id: {ctx.trace_id}\r\n"
+        if self.run_id:
+            extra += f"X-Repro-Run-Id: {self.run_id}\r\n"
+        for name, value in extra_headers.items():
+            extra += f"{name}: {value}\r\n"
+        writer.write(
+            (
+                f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(data)}\r\n"
+                f"{extra}"
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                "\r\n\r\n"
+            ).encode("ascii")
+            + data
+        )
+        await writer.drain()
+        if discard_input:
+            # A hostile request likely has unsent/unread bytes in flight;
+            # closing with unread data makes the kernel RST the connection
+            # and *destroy the error response*.  Briefly drain and discard
+            # so the 4xx actually arrives.
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 0.25
+            while True:
+                budget_s = deadline - loop.time()
+                if budget_s <= 0:
+                    break
+                chunk = await asyncio.wait_for(
+                    reader.read(1 << 16), timeout=budget_s
+                )
+                if not chunk:
+                    break
+        return keep_alive
 
     def _error_body(self, message: str, **fields) -> Dict[str, Any]:
         """Error JSON with correlatable detail (run id rides along)."""
@@ -1006,18 +1089,19 @@ class ReproServer:
         return body
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Read one HTTP request under the protocol-hardening limits.
+        self, reader: asyncio.StreamReader, first: bytes
+    ) -> Tuple[str, str, str, Dict[str, str], bytes]:
+        """Read the rest of one HTTP request whose ``first`` byte arrived.
 
-        Raises :class:`ProtocolError` for every hostile shape — slowloris
-        headers (408), oversized headers (431), bad/oversized
-        Content-Length (400/413), truncated bodies (400) — so the caller
-        can always *answer* instead of silently hanging or dying.
+        Returns ``(method, path, version, headers, body)``.  Raises
+        :class:`ProtocolError` for every hostile shape — slowloris headers
+        (408), oversized headers (431), bad/oversized Content-Length
+        (400/413), truncated bodies (400) — so the caller can always
+        *answer* instead of silently hanging or dying.
         """
         config = self.service.config
         try:
-            head = await asyncio.wait_for(
+            head = first + await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=config.header_timeout_s
             )
         except asyncio.TimeoutError:
@@ -1027,15 +1111,13 @@ class ReproServer:
             ) from None
         except asyncio.LimitOverrunError:
             raise ProtocolError(431, "request headers too large") from None
-        except asyncio.IncompleteReadError as err:
-            if not err.partial:
-                return None  # clean connect-then-close; nothing to answer
+        except asyncio.IncompleteReadError:
             raise ProtocolError(400, "connection closed mid-headers") from None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
             raise ProtocolError(400, "malformed request line")
-        method, path = parts[0].upper(), parts[1]
+        method, path, version = parts[0].upper(), parts[1], parts[2].upper()
         headers: Dict[str, str] = {}
         for line in lines[1:]:
             name, _, value = line.partition(":")
@@ -1056,7 +1138,7 @@ class ReproServer:
                     f"{config.max_body_bytes}-byte limit",
                 )
         if not length:
-            return method, path, headers, b""
+            return method, path, version, headers, b""
         try:
             body = await asyncio.wait_for(
                 reader.readexactly(length), timeout=config.body_timeout_s
@@ -1072,7 +1154,7 @@ class ReproServer:
                 f"truncated body: Content-Length {length}, "
                 f"got {len(err.partial)} bytes",
             ) from None
-        return method, path, headers, body
+        return method, path, version, headers, body
 
     async def _route(
         self,
@@ -1447,7 +1529,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-pending", type=int, default=defaults.max_pending,
                         help="pending-query budget before load-shedding (429)")
     parser.add_argument("--batch-window", type=float, default=defaults.batch_window_s,
-                        metavar="S", help="coalescing window before each engine batch")
+                        metavar="S", help="coalescing window before each engine "
+                        "batch; applies only to queries that need the store "
+                        "or the engine (memo hits are answered at admission)")
     parser.add_argument("--max-batch", type=int, default=defaults.max_batch,
                         help="queries per simulate_conv_batch call at most")
     parser.add_argument("--default-deadline-ms", type=float,

@@ -185,6 +185,33 @@ class TPUSim:
             canonical_layout(layout),
         )
 
+    def probe_conv(
+        self,
+        spec: ConvSpec,
+        key: tuple,
+        canonical: tuple,
+        resolved_group: int,
+        layout: Layout,
+        memory_only: bool = False,
+        peek_store: bool = False,
+    ) -> Optional[LayerResult]:
+        """One counted memo probe for a conv; a hit comes back finished.
+
+        ``key``/``canonical`` are the exact and symmetry-folded cache keys
+        (as :meth:`simulate_conv` builds them).  ``memory_only`` probes the
+        in-memory tiers alone and leaves a miss uncounted
+        (:meth:`SimulationCache.probe`); ``peek_store`` then falls back to
+        an uncounted read of the attached store.  A hit is relabelled,
+        audited and recorded by :meth:`_finish_conv_result`, exactly as a
+        result priced by :meth:`simulate_conv_batch`; a miss returns None.
+        """
+        found, value = SIM_CACHE.probe(key, canonical, memory_only=memory_only)
+        if not found and peek_store:
+            found, value = SIM_CACHE.peek(key, canonical)
+        if not found:
+            return None
+        return self._finish_conv_result(spec, value, key, resolved_group, layout)
+
     def _finish_conv_result(
         self,
         spec: ConvSpec,
@@ -232,7 +259,7 @@ class TPUSim:
         if not specs:
             return []
         cfg = config_key(self.config)
-        entries = []  # (spec, resolved, key, cached_result_or_None, job_index)
+        entries = []  # (spec, resolved, key, finished_hit_or_None, job_index)
         jobs: List[tuple] = []
         job_keys: List[tuple] = []
         pending: Dict[tuple, int] = {}
@@ -248,10 +275,8 @@ class TPUSim:
             cached = None
             job = None
             if SIM_CACHE.enabled:
-                found, value = SIM_CACHE.probe(key, canonical)
-                if found:
-                    cached = value
-                else:
+                cached = self.probe_conv(spec, key, canonical, resolved, layout)
+                if cached is None:
                     job = pending.get(key)
                     if job is not None:
                         SIM_CACHE.note_pending_hit()
@@ -295,12 +320,10 @@ class TPUSim:
                 SIM_CACHE.store(key, job_results[job], canonical)
 
         return [
-            self._finish_conv_result(
-                spec,
-                cached if cached is not None else job_results[job],
-                key,
-                resolved,
-                layout,
+            cached
+            if cached is not None
+            else self._finish_conv_result(
+                spec, job_results[job], key, resolved, layout
             )
             for spec, resolved, key, cached, job in entries
         ]

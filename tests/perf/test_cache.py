@@ -168,3 +168,42 @@ def test_per_run_cache_stats_under_jobs():
     assert serial.cache.hits + serial.cache.misses > 0
     _, pooled = run_many_telemetry(["table1", "fig13"], quick=True, jobs=2)
     assert pooled.cache.hits + pooled.cache.misses > 0
+
+
+def test_concurrent_probes_lose_no_count():
+    """The serve daemon probes on its event loop while a batch prices in an
+    executor thread: every hit must reach the counters and the beacon."""
+    import sys
+    import threading
+
+    from repro.obs.flight import beacon as flight_beacon
+
+    cache = SimulationCache()
+    for i in range(16):
+        cache.store(("exact", i), i, ("canon", i))
+    tiers = flight_beacon.get_beacon().cache
+    before = dict(tiers)
+    threads, probes = 4, 20_000
+
+    def worker(index):
+        for i in range(probes):
+            if index % 2:
+                cache.probe(("exact", i % 16), memory_only=True)
+            else:  # canonical hits alias the exact key once, then hit it
+                cache.probe(("alias", index, i % 16), ("canon", i % 16))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    total = threads * probes
+    assert cache.hits == total and cache.misses == 0
+    counted = sum(tiers.get(t, 0) - before.get(t, 0) for t in ("exact", "canonical"))
+    assert counted == total

@@ -6,6 +6,14 @@ own event loop and talks to it with the stdlib client from
 """
 
 import asyncio
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +29,8 @@ from repro.store.serve import (
 SPEC = {"n": 2, "c_in": 32, "h_in": 14, "w_in": 14, "c_out": 64,
         "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
         "name": "serve-spec"}
+
+REPO = Path(__file__).resolve().parents[2]
 
 RESULT_FIELDS = {"name", "cycles", "seconds", "tflops", "utilization",
                  "compute_cycles", "dma_cycles", "exposed_dma_cycles",
@@ -252,3 +262,164 @@ def test_serve_warm_starts_from_persistent_store(tmp_path):
     detach()
     clear_cache()  # a "new process": only the store survives
     asyncio.run(warm())
+
+
+# ------------------------------------------------------- persistent connections
+
+
+async def _send(writer, method="POST", path="/v1/conv", payload=None,
+                version="HTTP/1.1", headers=""):
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    writer.write(
+        f"{method} {path} {version}\r\nHost: x\r\n{headers}"
+        f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+    )
+    await writer.drain()
+
+
+async def _receive(reader):
+    """One framed response: ``(status, lower-cased headers, decoded body)``."""
+    status_line = await asyncio.wait_for(reader.readline(), timeout=5.0)
+    assert status_line, "connection closed before a response"
+    headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+async def _closed_by_server(reader, within_s=5.0) -> bool:
+    return await asyncio.wait_for(reader.read(), timeout=within_s) == b""
+
+
+def test_keep_alive_serves_sequential_requests_on_one_socket():
+    async def scenario():
+        service, server, host, port = await _boot()
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            answers = []
+            for _ in range(2):
+                await _send(writer, payload={"spec": SPEC})
+                answers.append(await _receive(reader))
+                # An idle gap between requests is not request latency.
+                await asyncio.sleep(0.2)
+            await _send(writer, "GET", "/healthz")
+            health = await _receive(reader)
+            for status, headers, _ in answers + [health]:
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+            assert answers[0][2] == answers[1][2]
+            assert service.simulations == 1
+            latency = service.registry.histograms[
+                'repro_serve_request_seconds{route="/v1/conv"}'
+            ]
+            assert latency.count == 2 and latency.sum < 0.2
+        finally:
+            writer.close()
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "version,headers",
+    [("HTTP/1.1", "Connection: close\r\n"), ("HTTP/1.0", "")],
+    ids=["connection-close", "http-1.0"],
+)
+def test_close_requests_get_a_closed_connection(version, headers):
+    async def scenario():
+        service, server, host, port = await _boot()
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            await _send(writer, payload={"spec": SPEC}, version=version,
+                        headers=headers)
+            status, response_headers, body = await _receive(reader)
+            assert status == 200 and body["cycles"] > 0
+            assert response_headers["connection"] == "close"
+            assert await _closed_by_server(reader)
+        finally:
+            writer.close()
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_protocol_error_answers_then_closes():
+    async def scenario():
+        service, server, host, port = await _boot(max_body_bytes=64)
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            await _send(writer, payload={"spec": SPEC})  # body > 64 bytes
+            status, headers, body = await _receive(reader)
+            assert status == 413 and "64-byte limit" in body["error"]
+            assert headers["connection"] == "close"
+            assert await _closed_by_server(reader)
+        finally:
+            writer.close()
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_idle_connection_is_closed_without_a_408():
+    async def scenario():
+        service, server, host, port = await _boot(header_timeout_s=0.3)
+        try:
+            # Silent from the start: closed, no response bytes at all.
+            reader, writer = await asyncio.open_connection(host, port)
+            assert await _closed_by_server(reader, within_s=3.0)
+            writer.close()
+            # Silent after one answered request: the same.
+            reader, writer = await asyncio.open_connection(host, port)
+            await _send(writer, payload={"spec": SPEC})
+            status, headers, _ = await _receive(reader)
+            assert status == 200 and headers["connection"] == "keep-alive"
+            assert await _closed_by_server(reader, within_s=3.0)
+            writer.close()
+            assert service.budget.failed == 0
+            assert 'route="other"' not in "".join(service.registry.histograms)
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_sigterm_drain_closes_idle_connections_and_exits_zero(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--no-watchdog"],
+        cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        match = re.search(r"listening on http://[0-9.]+:(\d+)",
+                          proc.stdout.readline())
+        assert match, "serve did not announce its port"
+        port = int(match.group(1))
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            await _send(writer, "GET", "/healthz")
+            status, headers, _ = await _receive(reader)
+            assert status == 200 and headers["connection"] == "keep-alive"
+            # Idle keep-alive socket: SIGTERM must not wait out the 10 s
+            # header timeout on it.
+            started = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            assert await _closed_by_server(reader, within_s=5.0)
+            writer.close()
+            return time.monotonic() - started
+
+        assert asyncio.run(scenario()) < 5.0
+        out, _ = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, out
+    assert "drained" in out
