@@ -8,8 +8,8 @@ Commands:
   [--inject-faults SPEC] [--audit off|cheap|full]`` —
   regenerate the paper's tables/figures with full run-level observability,
   fault tolerance and (``--audit``) runtime invariant auditing
-  (``experiments`` is the legacy spelling; both forward to
-  ``python -m repro.harness.runner``).
+  (``experiments`` is the legacy spelling; both declare the flags of
+  ``python -m repro.harness.runner`` and run through it).
 - ``simulate-conv`` — time one conv layer on TPUSim and the V100 model.
 - ``simulate-network <name> [--batch N] [--platform tpu|gpu]`` — a whole CNN.
 - ``sweep-stride`` — the stride study for one layer across all paths.
@@ -58,6 +58,7 @@ from .gpu.channel_first import channel_first_conv_time
 from .gpu.channel_last import channel_last_conv_time
 from .gpu.config import V100
 from .gpu.blocked_gemm import gemm_kernel_time
+from .harness.cli import add_run_arguments
 from .obs import log as obs_log
 from .obs.sentinel import add_sentinel_args, run_sentinel
 from .systolic.simulator import TPUSim
@@ -109,58 +110,10 @@ def _obs_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _runner_argv(args) -> List[str]:
-    """Translate parsed run/experiments args back into runner argv."""
-    argv: List[str] = list(args.ids)
-    if args.quick:
-        argv.append("--quick")
-    if args.jobs != 1:
-        argv.extend(["--jobs", str(args.jobs)])
-    if args.cache_stats:
-        argv.append("--cache-stats")
-    if args.trace is not None:
-        argv.extend(["--trace", args.trace])
-    if args.export_dir is not None:
-        argv.extend(["--export-dir", args.export_dir])
-    if getattr(args, "profile", False):
-        argv.append("--profile")
-    if args.log_level != obs_log.DEFAULT_LEVEL:
-        argv.extend(["--log-level", args.log_level])
-    if args.log_file is not None:
-        argv.extend(["--log-file", args.log_file])
-    if args.quiet:
-        argv.append("--quiet")
-    if args.manifest:
-        argv.append("--manifest")
-    if getattr(args, "results_dir", "results") != "results":
-        argv.extend(["--results-dir", args.results_dir])
-    if getattr(args, "checkpoint", False):
-        argv.append("--checkpoint")
-    if getattr(args, "resume", None) is not None:
-        argv.extend(["--resume", args.resume])
-    if getattr(args, "run_id", None) is not None:
-        argv.extend(["--run-id", args.run_id])
-    if getattr(args, "task_timeout", None) is not None:
-        argv.extend(["--task-timeout", str(args.task_timeout)])
-    if getattr(args, "max_retries", None) is not None:
-        argv.extend(["--max-retries", str(args.max_retries)])
-    if getattr(args, "inject_faults", None) is not None:
-        argv.extend(["--inject-faults", args.inject_faults])
-    if getattr(args, "audit", "off") != "off":
-        argv.extend(["--audit", args.audit])
-    if getattr(args, "store", None) is not None:
-        argv.extend(["--store", args.store])
-    if getattr(args, "flight", False):
-        argv.append("--flight")
-    if getattr(args, "status_file", None) is not None:
-        argv.extend(["--status-file", args.status_file])
-    return argv
-
-
 def cmd_experiments(args) -> int:
-    from .harness.runner import main as runner_main
+    from .harness.runner import run_from_args
 
-    return runner_main(_runner_argv(args))
+    return run_from_args(args)
 
 
 def cmd_simulate_conv(args) -> int:
@@ -367,48 +320,7 @@ def _add_runner_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("ids", nargs="*")
     p.add_argument("--all", action="store_true", dest="run_all",
                    help="run every experiment (same as passing no ids)")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache-stats", action="store_true")
-    p.add_argument(
-        "--trace",
-        nargs="?",
-        const="trace.json",
-        default=None,
-        metavar="PATH",
-        help="write Chrome trace JSON to PATH (default trace.json) and print "
-        "a cycle-accounting summary",
-    )
-    p.add_argument("--export-dir", default=None)
-    p.add_argument("--profile", action="store_true",
-                   help="per-experiment wall/CPU/allocation hotspot table")
-    p.add_argument("--results-dir", default="results",
-                   help="directory for <run_id>/ observability artifacts")
-    p.add_argument("--checkpoint", action="store_true",
-                   help="journal completed experiments for crash recovery")
-    p.add_argument("--resume", default=None, metavar="RUN_ID",
-                   help="resume a checkpointed run, skipping journaled work")
-    p.add_argument("--run-id", default=None, metavar="RUN_ID",
-                   help="pin the run id (default: generated)")
-    p.add_argument("--task-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-experiment wall-clock limit under --jobs")
-    p.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="transient-fault retries per experiment (default 2)")
-    p.add_argument("--inject-faults", default=None, metavar="SPEC",
-                   help="deterministic fault injection spec, e.g. "
-                   "'seed=7,crash@1,dram-drop=0.01'")
-    p.add_argument("--audit", choices=("off", "cheap", "full"), default="off",
-                   help="runtime invariant auditing ('full' adds per-layer "
-                   "cross-model differential checks; default off)")
-    p.add_argument("--store", default=None, metavar="DIR",
-                   help="persistent on-disk result store backing the "
-                   "simulation cache (shared across processes and runs)")
-    p.add_argument("--flight", action="store_true",
-                   help="flight recorder: dump recent spans/logs to "
-                   "results/<run_id>/ on faults, timeouts and SIGUSR1")
-    p.add_argument("--status-file", default=None, metavar="PATH",
-                   help="status beacon JSON for `repro top --status-file`")
+    add_run_arguments(p)
     p.set_defaults(func=cmd_experiments)
 
 
@@ -418,15 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     obs_parent = _obs_parent()
 
     p = sub.add_parser(
-        "run", parents=[obs_parent],
-        help="regenerate the paper's tables/figures (with observability)",
+        "run", help="regenerate the paper's tables/figures (with observability)",
     )
     _add_runner_options(p)
 
-    p = sub.add_parser(
-        "experiments", parents=[obs_parent],
-        help="legacy alias of `run`",
-    )
+    p = sub.add_parser("experiments", help="legacy alias of `run`")
     _add_runner_options(p)
 
     p = sub.add_parser(
@@ -612,7 +520,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.func is cmd_experiments:
         # The runner owns its observability lifecycle (it also has --profile
-        # and worker processes to coordinate); just forward the flags.
+        # and worker processes to coordinate); it takes the parsed flags.
         return args.func(args)
     obs_active = args.log_file is not None or args.manifest
     obs_log.configure(

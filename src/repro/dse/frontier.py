@@ -23,8 +23,7 @@ import json
 import pathlib
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..obs import log as obs_log
-from ..resilience.atomic import atomic_write_bytes, crash_safe_append
+from ..resilience.atomic import atomic_write_bytes, crash_safe_append, read_journal
 from .evaluate import point_cost_mm2
 from .space import DesignPoint, DesignSpace
 
@@ -135,6 +134,11 @@ def _point_doc(fp: FrontierPoint, on_frontier: bool) -> Dict[str, Any]:
     }
 
 
+def _round_record(record: Dict[str, Any]) -> Dict[str, Any]:
+    record["round"], record["frontier"]  # shape check
+    return record
+
+
 class FrontierJournal:
     """Append-only Pareto updates, one fsync'd record per round."""
 
@@ -158,29 +162,9 @@ class FrontierJournal:
         """Every well-formed round record, in journal order (torn tails and
         corrupt lines skipped with a warning — the journal is a progress
         ledger; the artifact is rebuilt from results, never from here)."""
-        rounds: List[Dict[str, Any]] = []
-        if not self.path.exists():
-            return rounds
-        for lineno, line in enumerate(
-            self.path.read_text().splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if record.get("schema") != FRONTIER_SCHEMA:
-                    raise ValueError(
-                        f"unknown schema {record.get('schema')!r}"
-                    )
-                record["round"], record["frontier"]
-            except (ValueError, KeyError, TypeError) as err:
-                obs_log.warning(
-                    "dse.frontier.corrupt_record",
-                    path=str(self.path), line=lineno, error=str(err),
-                )
-                continue
-            rounds.append(record)
+        rounds, _ = read_journal(
+            self.path, FRONTIER_SCHEMA, "dse.frontier.corrupt_record", _round_record
+        )
         return rounds
 
 

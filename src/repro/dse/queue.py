@@ -33,7 +33,7 @@ import time
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..obs import log as obs_log
-from ..resilience.atomic import atomic_write_text, crash_safe_append
+from ..resilience.atomic import atomic_write_text, crash_safe_append, read_journal
 from ..resilience.lease import LeaseRecord, read_lease, release, renew, try_acquire
 
 __all__ = ["TASK_SCHEMA", "Task", "WorkQueue", "task_shard"]
@@ -101,14 +101,8 @@ class WorkQueue:
 
     def load_tasks(self) -> Dict[str, Task]:
         """``{task_id: Task}`` — dedup by id (re-enqueue is idempotent)."""
-        tasks: Dict[str, Task] = {}
-        for doc in self._read_jsonl(self.tasks_path, schema=TASK_SCHEMA):
-            try:
-                task = Task.from_doc(doc)
-            except (KeyError, TypeError):
-                continue
-            tasks[task.task_id] = task
-        return tasks
+        tasks, _ = self._read_jsonl(self.tasks_path, Task.from_doc)
+        return {task.task_id: task for task in tasks}
 
     # --------------------------------------------------------------- leases
     def lease_path(self, task_id: str) -> pathlib.Path:
@@ -160,11 +154,10 @@ class WorkQueue:
         if not self.results_dir.exists():
             return results
         for shard in sorted(self.results_dir.glob("shard-*.jsonl")):
-            for doc in self._read_jsonl(shard, schema=TASK_SCHEMA):
-                try:
-                    results[str(doc["task_id"])] = dict(doc["result"])
-                except (KeyError, TypeError):
-                    continue
+            entries, _ = self._read_jsonl(
+                shard, lambda doc: (str(doc["task_id"]), dict(doc["result"]))
+            )
+            results.update(entries)
         return results
 
     # ------------------------------------------------------------- failures
@@ -190,11 +183,11 @@ class WorkQueue:
 
     def load_failures(self) -> Dict[str, List[Dict[str, Any]]]:
         failures: Dict[str, List[Dict[str, Any]]] = {}
-        for doc in self._read_jsonl(self.failures_path, schema=TASK_SCHEMA):
-            try:
-                failures.setdefault(str(doc["task_id"]), []).append(dict(doc))
-            except (KeyError, TypeError):
-                continue
+        docs, _ = self._read_jsonl(
+            self.failures_path, lambda doc: (str(doc["task_id"]), dict(doc))
+        )
+        for task_id, doc in docs:
+            failures.setdefault(task_id, []).append(doc)
         return failures
 
     # ----------------------------------------------------------- heartbeats
@@ -234,21 +227,6 @@ class WorkQueue:
             pass
 
     # -------------------------------------------------------------- helpers
-    def _read_jsonl(self, path: pathlib.Path, schema: int):
-        if not path.exists():
-            return
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                if doc.get("schema") != schema:
-                    raise ValueError(f"unknown schema {doc.get('schema')!r}")
-            except (ValueError, TypeError, AttributeError) as err:
-                obs_log.warning(
-                    "dse.queue.corrupt_record",
-                    path=str(path), line=lineno, error=str(err),
-                )
-                continue
-            yield doc
+    @staticmethod
+    def _read_jsonl(path: pathlib.Path, parse):
+        return read_journal(path, TASK_SCHEMA, "dse.queue.corrupt_record", parse)

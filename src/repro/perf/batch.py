@@ -1,7 +1,7 @@
 """Cross-layer batched schedule engine: one pricing pass, one recurrence.
 
-PR 1's :mod:`repro.perf.schedule_arrays` vectorized the two-resource
-pipeline *within* a layer; after it, harness time is dominated by dispatch —
+:mod:`repro.perf.schedule_arrays` vectorizes the two-resource pipeline
+*within* a layer; harness time beyond it is dominated by dispatch —
 thousands of sub-100µs ``simulate_conv`` calls each rebuilding the same
 tiny set of scalar costs and running the recurrence on its own short
 arrays.  This module amortizes scheduling across a whole batch of layers
@@ -9,19 +9,22 @@ arrays.  This module amortizes scheduling across a whole batch of layers
 one level up):
 
 - **Construction** (:func:`conv_schedule_batch` / :func:`gemm_schedule_batch`):
-  each schedule's K×N chunk grid holds at most four distinct values per cost
-  kind (full/tail chunk rows × full/tail chunk cols), so the grids are
-  assembled with array writes instead of per-item Python loops, and one
-  :class:`BatchPricer` memoizes every distinct scalar argument tuple *across
-  the batch* — a weight-fill or occupancy priced for layer 3 is never
-  re-priced for layer 40.
+  the per-schedule builder of :mod:`~repro.perf.schedule_arrays` — the
+  same one a single layer runs as a batch of one — looped over one shared
+  :class:`~repro.perf.schedule_arrays.BatchPricer`, which memoizes every
+  distinct scalar argument tuple and chunk grid *across the batch*: a
+  weight-fill or occupancy priced for layer 3 is never re-priced for
+  layer 40.
 - **Execution** (:func:`execute_schedule_batch`): all schedules concatenate
   into one flat ragged batch with per-job segment offsets; cumulative sums
   run on a zero-padded 2-D view (adding ``0.0`` is a float identity, so the
   padded row-wise ``cumsum`` is bit-identical to each job's own), and the
   pipeline recurrence runs once over the flat arrays via
   :func:`~repro.perf.schedule_arrays.pipeline_free_times_segmented` with
-  forced restarts at job boundaries.
+  forced restarts at job boundaries.  Below :data:`_MIN_BATCHED_JOBS`
+  schedules the per-layer
+  :func:`~repro.perf.schedule_arrays.execute_schedule_arrays` is the faster
+  executor, so small batches run one schedule at a time through it.
 
 **Bit-exactness to the per-layer path is a hard contract**: the same scalar
 pricing functions are called with the same argument tuples, every array
@@ -32,13 +35,13 @@ tests (``tests/perf/test_batch.py``) gate this to the last float bit.
 Audit note: scalar-cost sharing across specs means ``ifmap_tile_fill_cycles``
 runs once per distinct feature tuple, not once per spec — the same
 "verified once per key" policy the perf cache already applies.  Under
-``--audit full`` the differential checker re-prices every layer through the
-per-layer builders, so per-spec audit coverage is unchanged.
+``--audit full`` the differential checker re-prices every layer through a
+batch of one with a fresh pricer, so per-spec audit coverage is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,18 +51,15 @@ from ..core.tiling import plan_multi_tile
 from ..trace import tracer as trace
 from ..systolic.config import TPUConfig
 from ..systolic.dma import FillEngine
-from ..systolic.scheduler import (
-    MIN_BLOCK_ROWS,
-    MIN_PIPELINE_BLOCKS,
-    ScheduleResult,
-    ifmap_rows_per_block,
-    tile_occupancy_cycles,
+from ..systolic.scheduler import ScheduleResult
+from .schedule_arrays import (
+    BatchPricer,
+    ScheduleArrays,
+    _conv_schedule,
+    _gemm_schedule,
+    execute_schedule_arrays,
+    pipeline_free_times_segmented,
 )
-# Module binding only: repro.perf.schedule_arrays imports the systolic
-# package back (config -> __init__ -> simulator -> this module), so named
-# imports here would see it partially initialized on one import order.
-from . import schedule_arrays as _sa
-from .cache import canonical_layout
 
 __all__ = [
     "BatchPricer",
@@ -72,202 +72,11 @@ __all__ = [
 #: degrades to per-job execution instead of materialising the 2-D pad.
 _MAX_PADDED_ELEMENTS = 64_000_000
 
-
-class BatchPricer:
-    """Scalar-cost and grid memoization shared across one batch.
-
-    Every distinct argument tuple of each pricing function is evaluated
-    exactly once per pricer, no matter how many layers in the batch need
-    it.  All values come from the *same* scalar functions the per-layer
-    builders call, so sharing cannot change a single bit.
-
-    The IFMap-fill memo keys on exactly the features
-    :meth:`~repro.systolic.dma.FillEngine.ifmap_tile_fill_cycles` reads —
-    block rows, group size, batch, channels, stride, fill contiguity,
-    output row width, IFMap spatial size and the layout *class* (NHWC/HWCN
-    and NCHW/CHWN price identically) — so two different specs share an
-    entry only when the engine would have returned the identical float.
-    """
-
-    def __init__(self, config: TPUConfig, engine: FillEngine):
-        self.config = config
-        self.engine = engine
-        self._weight_fill: Dict[Tuple, float] = {}
-        self._occupancy: Dict[Tuple, float] = {}
-        self._drain: Dict[Tuple, float] = {}
-        self._a_fill: Dict[Tuple, float] = {}
-        self._ifmap_fill: Dict[Tuple, float] = {}
-        self._conv_grids: Dict[Tuple, Tuple] = {}
-        self._gemm_grids: Dict[Tuple, Tuple] = {}
-
-    # ------------------------------------------------------------- scalars
-    def weight_fill(self, k_t: int, n_t: int) -> float:
-        key = (k_t, n_t)
-        value = self._weight_fill.get(key)
-        if value is None:
-            value = self.engine.weight_fill_cycles(k_t, n_t)
-            self._weight_fill[key] = value
-        return value
-
-    def occupancy(self, rows: int, k_t: int, n_t: int, first: bool = False) -> float:
-        key = (rows, k_t, n_t, first)
-        value = self._occupancy.get(key)
-        if value is None:
-            value = tile_occupancy_cycles(rows, k_t, n_t, self.config, first=first)
-            self._occupancy[key] = value
-        return value
-
-    def drain(self, rows: int, n_t: int) -> float:
-        key = (rows, n_t)
-        value = self._drain.get(key)
-        if value is None:
-            value = self.engine.ofmap_drain_cycles(rows, n_t)
-            self._drain[key] = value
-        return value
-
-    def a_fill(self, rows: int, k_t: int) -> float:
-        key = (rows, k_t)
-        value = self._a_fill.get(key)
-        if value is None:
-            value = self.engine.gemm_a_fill_cycles(rows, k_t)
-            self._a_fill[key] = value
-        return value
-
-    def ifmap_fill(
-        self, spec: ConvSpec, rows: int, group_size: int, layout: Layout
-    ) -> float:
-        contiguous = spec.stride == 1 and spec.dilation == 1
-        key = (
-            rows,
-            group_size,
-            spec.n,
-            spec.c_in,
-            spec.stride,
-            contiguous,
-            spec.w_out,
-            spec.h_in * spec.w_in,
-            canonical_layout(layout),
-        )
-        value = self._ifmap_fill.get(key)
-        if value is None:
-            value = self.engine.ifmap_tile_fill_cycles(
-                spec, rows, group_size, layout=layout
-            )
-            self._ifmap_fill[key] = value
-        return value
-
-    # --------------------------------------------------------------- grids
-    def conv_grid(
-        self, rows: int, merged_k: int, c_out: int, drains_here: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat (fill, gemm, drain, macs) for one group's K×N chunk grid.
-
-        The grid is row-major over K-chunks then N-chunks — exactly the
-        item scheduler's loop order — and holds at most four distinct
-        values per array (full/tail chunk on each axis), written as block
-        assignments.  The IFMap fill is *not* included (it lands on the
-        group's first flat element at assembly, after the shared grid is
-        copied).  Cached arrays are immutable; callers must copy before
-        mutating.
-        """
-        key = (rows, merged_k, c_out, drains_here)
-        cached = self._conv_grids.get(key)
-        if cached is not None:
-            return cached
-        ar, ac = self.config.array_rows, self.config.array_cols
-        kc = -(-merged_k // ar)
-        nc = -(-c_out // ac)
-        kt_last = merged_k - (kc - 1) * ar
-        nt_last = c_out - (nc - 1) * ac
-
-        fill = np.empty((kc, nc), dtype=np.float64)
-        gemm = np.empty((kc, nc), dtype=np.float64)
-        if kc > 1 and nc > 1:
-            fill[: kc - 1, : nc - 1] = self.weight_fill(ar, ac)
-            gemm[: kc - 1, : nc - 1] = self.occupancy(rows, ar, ac)
-        if kc > 1:
-            fill[: kc - 1, nc - 1] = self.weight_fill(ar, nt_last)
-            gemm[: kc - 1, nc - 1] = self.occupancy(rows, ar, nt_last)
-        if nc > 1:
-            fill[kc - 1, : nc - 1] = self.weight_fill(kt_last, ac)
-            gemm[kc - 1, : nc - 1] = self.occupancy(rows, kt_last, ac)
-        fill[kc - 1, nc - 1] = self.weight_fill(kt_last, nt_last)
-        gemm[kc - 1, nc - 1] = self.occupancy(rows, kt_last, nt_last)
-
-        drain = np.zeros((kc, nc), dtype=np.float64)
-        if drains_here:
-            if nc > 1:
-                drain[kc - 1, : nc - 1] = self.drain(rows, ac)
-            drain[kc - 1, nc - 1] = self.drain(rows, nt_last)
-
-        kt = np.full(kc, ar, dtype=np.int64)
-        kt[-1] = kt_last
-        nt = np.full(nc, ac, dtype=np.int64)
-        nt[-1] = nt_last
-        macs = rows * np.multiply.outer(kt, nt)
-
-        grids = (fill.reshape(-1), gemm.reshape(-1), drain.reshape(-1), macs.reshape(-1))
-        for arr in grids:
-            arr.flags.writeable = False
-        self._conv_grids[key] = grids
-        return grids
-
-    def gemm_grid(
-        self, rows: int, k: int, n: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat (fill, gemm, drain, macs) for one GEMM M-block's chunk grid.
-
-        Unlike the conv grid, the A-panel fill *is* baked in (column 0 of
-        every K-chunk row, ``weight + a_fill`` in the reference's add
-        order) and so is the C drain (last K-chunk row) — both are
-        functions of the key alone.
-        """
-        key = (rows, k, n)
-        cached = self._gemm_grids.get(key)
-        if cached is not None:
-            return cached
-        ar, ac = self.config.array_rows, self.config.array_cols
-        kc = -(-k // ar)
-        nc = -(-n // ac)
-        kt_last = k - (kc - 1) * ar
-        nt_last = n - (nc - 1) * ac
-
-        fill = np.empty((kc, nc), dtype=np.float64)
-        gemm = np.empty((kc, nc), dtype=np.float64)
-        if kc > 1 and nc > 1:
-            fill[: kc - 1, : nc - 1] = self.weight_fill(ar, ac)
-            gemm[: kc - 1, : nc - 1] = self.occupancy(rows, ar, ac)
-        if kc > 1:
-            fill[: kc - 1, nc - 1] = self.weight_fill(ar, nt_last)
-            gemm[: kc - 1, nc - 1] = self.occupancy(rows, ar, nt_last)
-        if nc > 1:
-            fill[kc - 1, : nc - 1] = self.weight_fill(kt_last, ac)
-            gemm[kc - 1, : nc - 1] = self.occupancy(rows, kt_last, ac)
-        fill[kc - 1, nc - 1] = self.weight_fill(kt_last, nt_last)
-        gemm[kc - 1, nc - 1] = self.occupancy(rows, kt_last, nt_last)
-
-        a_fill = np.empty(kc, dtype=np.float64)
-        if kc > 1:
-            a_fill[: kc - 1] = self.a_fill(rows, ar)
-        a_fill[kc - 1] = self.a_fill(rows, kt_last)
-        fill[:, 0] += a_fill  # same float add as the reference's weight + a_fill
-
-        drain = np.zeros((kc, nc), dtype=np.float64)
-        if nc > 1:
-            drain[kc - 1, : nc - 1] = self.drain(rows, ac)
-        drain[kc - 1, nc - 1] = self.drain(rows, nt_last)
-
-        kt = np.full(kc, ar, dtype=np.int64)
-        kt[-1] = kt_last
-        nt = np.full(nc, ac, dtype=np.int64)
-        nt[-1] = nt_last
-        macs = rows * np.multiply.outer(kt, nt)
-
-        grids = (fill.reshape(-1), gemm.reshape(-1), drain.reshape(-1), macs.reshape(-1))
-        for arr in grids:
-            arr.flags.writeable = False
-        self._gemm_grids[key] = grids
-        return grids
+#: Fewest non-empty schedules the flat batch executes: below this the
+#: one-schedule executor is faster (measured crossover 7–8 schedules on
+#: VGG16/AlexNet/GoogLeNet layers at batch 1 and 32; one schedule runs
+#: ~2.5x slower through the flat batch).
+_MIN_BATCHED_JOBS = 8
 
 
 # --------------------------------------------------------------------------
@@ -275,42 +84,10 @@ class BatchPricer:
 # --------------------------------------------------------------------------
 
 
-def _conv_template(
-    spec: ConvSpec,
-    rows: int,
-    groups: Sequence,
-    pricer: BatchPricer,
-    layout: Layout,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One IFMap block's template: concatenated group grids + IFMap fills."""
-    last_gi = len(groups) - 1
-    parts_fill: List[np.ndarray] = []
-    parts_gemm: List[np.ndarray] = []
-    parts_drain: List[np.ndarray] = []
-    parts_macs: List[np.ndarray] = []
-    fill_positions: List[Tuple[int, float]] = []
-    offset = 0
-    for gi, group in enumerate(groups):
-        g_fill, g_gemm, g_drain, g_macs = pricer.conv_grid(
-            rows, group.merged_k, spec.c_out, gi == last_gi
-        )
-        parts_fill.append(g_fill)
-        parts_gemm.append(g_gemm)
-        parts_drain.append(g_drain)
-        parts_macs.append(g_macs)
-        fill_positions.append(
-            (offset, pricer.ifmap_fill(spec, rows, group.group_size, layout))
-        )
-        offset += g_fill.size
-    # np.concatenate always copies, so the shared grids stay pristine and
-    # the IFMap-fill adds below mutate this template's own buffer.
-    fill = np.concatenate(parts_fill)
-    gemm = np.concatenate(parts_gemm)
-    drain = np.concatenate(parts_drain)
-    macs = np.concatenate(parts_macs)
-    for pos, input_fill in fill_positions:
-        fill[pos] += input_fill  # weight + input_fill, the reference's order
-    return fill, gemm, drain, macs
+def _count_batch(jobs: int) -> None:
+    if trace.enabled():
+        trace.counter("schedule.constructions", jobs, cat="schedule")
+        trace.counter("schedule.batched_constructions", jobs, cat="schedule")
 
 
 def conv_schedule_batch(
@@ -319,40 +96,26 @@ def conv_schedule_batch(
     engine: Optional[FillEngine] = None,
     layout: Layout = Layout.NHWC,
     pricer: Optional[BatchPricer] = None,
-) -> List[_sa.ScheduleArrays]:
+) -> List[ScheduleArrays]:
     """Array schedules for ``(spec, group_size)`` jobs with shared pricing.
 
     Bit-identical per job to
     :func:`~repro.perf.schedule_arrays.channel_first_schedule_arrays`.
     """
-    engine = engine if engine is not None else FillEngine(config)
     if pricer is None:
-        pricer = BatchPricer(config, engine)
-    schedules: List[_sa.ScheduleArrays] = []
-    for spec, group_size in jobs:
-        _sa._CONSTRUCTION_COUNT += 1
-        groups = plan_multi_tile(spec, group_size, row_aligned=True)
-        m_total = spec.lowered_rows()
-        m_block = ifmap_rows_per_block(spec, config, group_size)
-        n_blocks = -(-m_total // m_block)
-        rows_sequence = [m_block] * (n_blocks - 1) + [
-            m_total - m_block * (n_blocks - 1)
-        ]
-        templates = {
-            rows: _conv_template(spec, rows, groups, pricer, layout)
-            for rows in set(rows_sequence)
-        }
-        schedule = _sa._assemble_blocks(templates, rows_sequence)
-        if len(schedule) and groups:
-            first_k = min(config.array_rows, groups[0].merged_k)
-            first_n = min(config.array_cols, spec.c_out)
-            schedule.gemm_cycles[0] = pricer.occupancy(
-                rows_sequence[0], first_k, first_n, first=True
-            )
-        schedules.append(schedule)
-    if trace.enabled():
-        trace.counter("schedule.constructions", len(jobs), cat="schedule")
-        trace.counter("schedule.batched_constructions", len(jobs), cat="schedule")
+        pricer = BatchPricer(config, engine if engine is not None else FillEngine(config))
+    schedules = [
+        _conv_schedule(
+            spec,
+            config,
+            pricer,
+            plan_multi_tile(spec, group_size, row_aligned=True),
+            group_size,
+            layout,
+        )
+        for spec, group_size in jobs
+    ]
+    _count_batch(len(jobs))
     return schedules
 
 
@@ -361,45 +124,16 @@ def gemm_schedule_batch(
     config: TPUConfig,
     engine: Optional[FillEngine] = None,
     pricer: Optional[BatchPricer] = None,
-) -> List[_sa.ScheduleArrays]:
+) -> List[ScheduleArrays]:
     """Array schedules for GEMM shapes with shared pricing.
 
     Bit-identical per shape to
     :func:`~repro.perf.schedule_arrays.gemm_schedule_arrays`.
     """
-    engine = engine if engine is not None else FillEngine(config)
     if pricer is None:
-        pricer = BatchPricer(config, engine)
-    array_rows = config.array_rows
-    elem = config.compute_elem_bytes
-    budget = config.unified_sram_bytes // 4
-    schedules: List[_sa.ScheduleArrays] = []
-    for shape in shapes:
-        _sa._CONSTRUCTION_COUNT += 1
-        k_first = min(array_rows, shape.k)
-        k_max = array_rows if shape.k >= array_rows else shape.k
-        per_row = k_max * elem
-        capacity_rows = max(1, budget // per_row)
-        pipeline_rows = max(MIN_BLOCK_ROWS, -(-shape.m // MIN_PIPELINE_BLOCKS))
-        m_block = max(1, min(shape.m, capacity_rows, pipeline_rows))
-        n_blocks = -(-shape.m // m_block)
-        rows_sequence = [m_block] * (n_blocks - 1) + [
-            shape.m - m_block * (n_blocks - 1)
-        ]
-        templates = {
-            rows: pricer.gemm_grid(rows, shape.k, shape.n)
-            for rows in set(rows_sequence)
-        }
-        schedule = _sa._assemble_blocks(templates, rows_sequence)
-        if len(schedule):
-            first_n = min(config.array_cols, shape.n)
-            schedule.gemm_cycles[0] = pricer.occupancy(
-                rows_sequence[0], k_first, first_n, first=True
-            )
-        schedules.append(schedule)
-    if trace.enabled():
-        trace.counter("schedule.constructions", len(shapes), cat="schedule")
-        trace.counter("schedule.batched_constructions", len(shapes), cat="schedule")
+        pricer = BatchPricer(config, engine if engine is not None else FillEngine(config))
+    schedules = [_gemm_schedule(shape, config, pricer) for shape in shapes]
+    _count_batch(len(shapes))
     return schedules
 
 
@@ -435,12 +169,13 @@ def _length_buckets(widths: np.ndarray) -> List[np.ndarray]:
 
 
 def execute_schedule_batch(
-    schedules: Sequence[_sa.ScheduleArrays],
+    schedules: Sequence[ScheduleArrays],
 ) -> List[ScheduleResult]:
     """Execute many schedules as one flat segmented batch.
 
-    Per-job results are bit-identical to
-    :func:`~repro.perf.schedule_arrays.execute_schedule_arrays`: row-wise
+    Batches of fewer than :data:`_MIN_BATCHED_JOBS` non-empty schedules
+    run one schedule at a time instead.  Per-job results are bit-identical
+    to :func:`~repro.perf.schedule_arrays.execute_schedule_arrays`: row-wise
     cumulative sums on a zero-padded 2-D layout reproduce each job's own
     left-associated sums (adding ``0.0`` is exact), and the pipeline
     recurrences — compute chain and drained write chain — run over the
@@ -453,9 +188,13 @@ def execute_schedule_batch(
     nonempty = np.flatnonzero(lens)
     if nonempty.size == 0:
         return [_empty_result() for _ in schedules]
-    if 2 * int(lens.sum()) > _MAX_PADDED_ELEMENTS:
-        # Batch too large to stage even through ~2x-payload bucket pads.
-        return [_sa.execute_schedule_arrays(s) for s in schedules]
+    if (
+        nonempty.size < _MIN_BATCHED_JOBS
+        or 2 * int(lens.sum()) > _MAX_PADDED_ELEMENTS
+    ):
+        # Too few schedules to amortise the flat batch, or too many items to
+        # stage even through ~2x-payload bucket pads.
+        return [execute_schedule_arrays(s) for s in schedules]
     if trace.enabled():
         trace.counter("schedule.batched_executions", 1, cat="schedule")
         trace.counter("schedule.batched_jobs", int(nonempty.size), cat="schedule")
@@ -512,7 +251,7 @@ def execute_schedule_batch(
         dma_busy[idxs] = np.cumsum(inter, axis=1)[rows, 2 * widths - 1]
 
     # Compute chain: the segmented pipeline recurrence.
-    compute_free = _sa.pipeline_free_times_segmented(read_free, gemm, starts)
+    compute_free = pipeline_free_times_segmented(read_free, gemm, starts)
     compute_free_last = compute_free[starts + alens - 1]
 
     # Write channel: the drained sub-chain, segmented per job.
@@ -523,7 +262,7 @@ def execute_schedule_batch(
         dj = job_of[drained]
         dstarts = np.flatnonzero(np.diff(dj, prepend=dj[0] - 1))
         dends = np.append(dstarts[1:], dj.size) - 1
-        w = _sa.pipeline_free_times_segmented(
+        w = pipeline_free_times_segmented(
             compute_free[drained], drain[drained], dstarts
         )
         write_final[dj[dstarts]] = w[dends]

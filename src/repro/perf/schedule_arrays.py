@@ -4,8 +4,9 @@ The per-item scheduler (:mod:`repro.systolic.scheduler`) materialises one
 :class:`~repro.systolic.scheduler.WorkItem` dataclass per stationary tile and
 folds over them in Python — clear, but every experiment pays tens of
 thousands of attribute lookups per layer.  This module holds the same
-schedule as four parallel NumPy arrays (:class:`ScheduleArrays`) and executes
-the two-resource pipeline as a prefix recurrence over them.
+schedule as four parallel NumPy arrays (:class:`ScheduleArrays`), builds it
+from block-assigned chunk grids, and executes the two-resource pipeline as a
+prefix recurrence over it.
 
 **Bit-exactness is a hard contract**, not an aspiration: every cycle count
 produced here must equal the per-item path's result to the last float bit,
@@ -15,14 +16,17 @@ Two properties make that possible:
 
 - *Construction*: each scalar cost (weight fill, IFMap fill, drain,
   occupancy) takes values from a tiny set of distinct arguments — block rows
-  are ``m_block`` or one remainder, K/N chunks are full or one tail.  The
-  builders call the **same** scalar pricing functions once per distinct
-  argument tuple and tile the per-block template, so every array element is
-  the identical float the item path would have computed.
+  are ``m_block`` or one remainder, K/N chunks are full or one tail.  A
+  :class:`BatchPricer` calls the **same** scalar pricing functions once per
+  distinct argument tuple and writes each K×N chunk grid with block
+  assignments, so every array element is the identical float the item path
+  would have computed.  A single layer is a batch of one with a fresh
+  pricer; :mod:`repro.perf.batch` loops the same per-schedule routine over
+  one shared pricer.
 - *Execution*: the pipeline recurrence ``w_i = max(w_{i-1}, s_i) + a_i`` is
-  evaluated by :func:`pipeline_free_times` with strictly left-to-right
-  associated additions (``np.cumsum`` over restart segments), matching the
-  reference fold's rounding exactly; a naive closed form
+  evaluated by :func:`pipeline_free_times_segmented` with strictly
+  left-to-right associated additions (``np.cumsum`` over restart segments),
+  matching the reference fold's rounding exactly; a naive closed form
   (``cumsum(a) + maximum.accumulate(s - cumsum(a))``) reassociates the sums
   and drifts by ulps, so it is used only as the segmentation *guess* and the
   result is verified against the recurrence's fixpoint condition.
@@ -31,7 +35,7 @@ Two properties make that possible:
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,15 +53,16 @@ from ..systolic.scheduler import (
     MIN_PIPELINE_BLOCKS,
     tile_occupancy_cycles,
 )
+from .cache import canonical_layout
 
 __all__ = [
     "ScheduleArrays",
+    "BatchPricer",
     "channel_first_schedule_arrays",
     "conv_schedule_arrays_from_groups",
     "gemm_schedule_arrays",
     "execute_schedule_arrays",
     "execute_multi_array_schedule",
-    "pipeline_free_times",
     "pipeline_free_times_segmented",
     "schedule_construction_count",
 ]
@@ -65,6 +70,9 @@ __all__ = [
 #: Number of schedule constructions performed since import — lets tests (and
 #: the cache smoke test) assert that a memoized re-simulation builds nothing.
 _CONSTRUCTION_COUNT = 0
+
+#: The segment starts of a single pipeline chain.
+_ONE_CHAIN = np.zeros(1, dtype=np.int64)
 
 
 def schedule_construction_count() -> int:
@@ -127,124 +135,81 @@ class ScheduleArrays:
 _MAX_SEGMENT_REFINES = 6
 
 
-def pipeline_free_times(start_floor: np.ndarray, busy: np.ndarray) -> np.ndarray:
-    """Solve ``w_i = max(w_{i-1}, s_i) + a_i`` (``w_{-1} = 0``) bit-exactly.
-
-    ``start_floor`` (``s``) is the earliest moment item ``i`` may start (its
-    fill landing, or its producing GEMM finishing); ``busy`` (``a``) is the
-    resource time it then holds.  The result is identical — in every float
-    bit — to the sequential fold, because within each "restart segment"
-    (a maximal run where the resource never idles) the value is a plain
-    left-associated running sum, evaluated here with ``np.cumsum``.
-
-    The segmentation (the set of ``i`` where ``s_i >= w_{i-1}``, i.e. the
-    resource sat idle and the term restarts from ``s_i``) is guessed from the
-    reassociated closed form and then verified as a fixpoint of the exact
-    evaluation; on the rare non-converging input the scalar fold runs.
-    """
-    s = np.asarray(start_floor, dtype=np.float64)
-    a = np.asarray(busy, dtype=np.float64)
-    n = s.size
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    if n == 1:
-        return np.array([max(0.0, float(s[0])) + float(a[0])])
-
-    # Reassociated closed form — correct up to rounding, used only as the
-    # initial segmentation guess.
-    acc = np.cumsum(a)
-    acc_prev = np.empty_like(acc)
-    acc_prev[0] = 0.0
-    acc_prev[1:] = acc[:-1]
-    w = acc + np.maximum.accumulate(np.maximum(s - acc_prev, -acc_prev))
-
-    restart = np.empty(n, dtype=bool)
-    for _ in range(_MAX_SEGMENT_REFINES):
-        restart[0] = True
-        np.greater_equal(s[1:], w[:-1], out=restart[1:])
-        w_new = _evaluate_segments(s, a, restart)
-        stable = bool(np.all((s[1:] >= w_new[:-1]) == restart[1:]))
-        w = w_new
-        if stable:
-            return w
-
-    # Fallback: the plain fold (never observed to trigger; kept for safety).
-    out = np.empty(n, dtype=np.float64)
-    prev = 0.0
-    s_list = s.tolist()
-    a_list = a.tolist()
-    for i in range(n):
-        prev = max(prev, s_list[i]) + a_list[i]
-        out[i] = prev
-    return out
-
-
 def pipeline_free_times_segmented(
     start_floor: np.ndarray, busy: np.ndarray, seg_starts: np.ndarray
 ) -> np.ndarray:
-    """Independent :func:`pipeline_free_times` over concatenated jobs.
+    """Solve ``w_i = max(w_{i-1}, s_i) + a_i`` bit-exactly over independent chains.
 
-    ``seg_starts`` marks where each job's chain begins in the flat arrays;
-    the recurrence state resets there (``w_{-1} = 0`` per job), so slicing
-    the result at a job's bounds is bit-identical to running
-    :func:`pipeline_free_times` on that job alone.  The exact evaluation is
-    shared across the whole flat array: job boundaries are simply *forced*
-    restarts in the segmentation, and :func:`_evaluate_segments` already
-    evaluates every restart segment with its own left-associated cumsum.
+    ``start_floor`` (``s``) is the earliest moment item ``i`` may start (its
+    fill landing, or its producing GEMM finishing); ``busy`` (``a``) is the
+    resource time it then holds.  ``seg_starts`` marks where each chain
+    begins in the flat arrays — strictly increasing from ``0``; pass ``[0]``
+    for a single chain.  The state resets there (``w_{-1} = 0`` per chain),
+    so slicing the result at a chain's bounds is bit-identical to solving
+    that chain alone.
 
-    Like the per-job solver, this assumes ``start_floor >= 0`` at each job's
-    first item (true for every schedule: fills and compute-free floors are
-    nonnegative), so a forced restart yields ``s + a`` exactly as the
-    reference fold's ``max(0, s) + a`` would.
+    The result is identical — in every float bit — to the sequential fold,
+    because within each "restart segment" (a maximal run where the resource
+    never idles) the value is a plain left-associated running sum, evaluated
+    here with ``np.cumsum``.  The segmentation (the set of ``i`` where
+    ``s_i >= w_{i-1}``, i.e. the resource sat idle and the term restarts
+    from ``s_i``) is guessed from the reassociated closed form and then
+    verified as a fixpoint of the exact evaluation; chain starts are simply
+    *forced* restarts.  On the rare non-converging input the scalar fold
+    runs.
+
+    This assumes ``start_floor >= 0`` at each chain's first item (true for
+    every schedule: fills and compute-free floors are nonnegative), so a
+    forced restart yields ``s + a`` exactly as the reference fold's
+    ``max(0, s) + a`` would.
     """
     s = np.asarray(start_floor, dtype=np.float64)
     a = np.asarray(busy, dtype=np.float64)
     n = s.size
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    seg_starts = np.asarray(seg_starts, dtype=np.int64)
-    forced = np.zeros(n, dtype=bool)
-    forced[seg_starts] = True
-    forced[0] = True
+    if n <= 1:
+        return s + a
+    inner = np.asarray(seg_starts, dtype=np.int64)[1:]  # chains after the first
+    before_inner = inner - 1
+    bounds = [0, *inner.tolist(), n]
 
-    # Per-job reassociated closed-form guess (rounding-tolerant: it only
+    # Per-chain reassociated closed-form guess (rounding-tolerant: it only
     # seeds the segmentation, which the fixpoint check below verifies).
     w = np.empty(n, dtype=np.float64)
-    bounds = np.flatnonzero(forced)
-    for st, en in zip(bounds.tolist(), np.append(bounds[1:], n).tolist()):
-        ss = s[st:en]
+    for st, en in zip(bounds[:-1], bounds[1:]):
         acc = np.cumsum(a[st:en])
         acc_prev = np.empty_like(acc)
         acc_prev[0] = 0.0
         acc_prev[1:] = acc[:-1]
-        w[st:en] = acc + np.maximum.accumulate(np.maximum(ss - acc_prev, -acc_prev))
+        w[st:en] = acc + np.maximum.accumulate(
+            np.maximum(s[st:en] - acc_prev, -acc_prev)
+        )
 
     restart = np.empty(n, dtype=bool)
     for _ in range(_MAX_SEGMENT_REFINES):
         restart[0] = True
         np.greater_equal(s[1:], w[:-1], out=restart[1:])
-        restart |= forced
+        if inner.size:
+            restart[inner] = True
         w_new = _evaluate_segments(s, a, restart)
-        # Forced positions restart regardless of the idle condition, so they
-        # are exempt from the fixpoint check.
-        stable = bool(
-            np.all(((s[1:] >= w_new[:-1]) == restart[1:]) | forced[1:])
-        )
+        idle = s[1:] >= w_new[:-1]
+        if inner.size:
+            # Chain starts restart regardless of the idle condition, so
+            # they pass the fixpoint check by construction.
+            idle[before_inner] = True
         w = w_new
-        if stable:
+        if (idle == restart[1:]).all():
             return w
 
-    # Fallback: the plain fold with per-job resets (safety net).
+    # Fallback: the plain fold with per-chain resets (never observed to
+    # trigger; kept for safety).
     out = np.empty(n, dtype=np.float64)
-    prev = 0.0
     s_list = s.tolist()
     a_list = a.tolist()
-    forced_list = forced.tolist()
-    for i in range(n):
-        if forced_list[i]:
-            prev = 0.0
-        prev = max(prev, s_list[i]) + a_list[i]
-        out[i] = prev
+    for st, en in zip(bounds[:-1], bounds[1:]):
+        prev = 0.0
+        for i in range(st, en):
+            prev = max(prev, s_list[i]) + a_list[i]
+            out[i] = prev
     return out
 
 
@@ -279,6 +244,18 @@ def _dma_busy_cycles(fill: np.ndarray, drain: np.ndarray) -> float:
     return float(np.cumsum(interleaved)[-1])
 
 
+def _write_free_final(compute_free: np.ndarray, drain: np.ndarray) -> float:
+    """When the write channel finishes: the drained sub-chain's last value."""
+    drained = np.flatnonzero(drain)
+    if not drained.size:
+        return 0.0
+    return float(
+        pipeline_free_times_segmented(
+            compute_free[drained], drain[drained], _ONE_CHAIN
+        )[-1]
+    )
+
+
 def execute_schedule_arrays(schedule: ScheduleArrays) -> ScheduleResult:
     """Vectorized twin of :func:`repro.systolic.scheduler.execute_schedule`.
 
@@ -296,14 +273,8 @@ def execute_schedule_arrays(schedule: ScheduleArrays) -> ScheduleResult:
     drain = schedule.drain_cycles
 
     read_free = np.cumsum(fill)
-    compute_free = pipeline_free_times(read_free, gemm)
-
-    drained = np.flatnonzero(drain)
-    write_free_final = 0.0
-    if drained.size:
-        write_free_final = float(
-            pipeline_free_times(compute_free[drained], drain[drained])[-1]
-        )
+    compute_free = pipeline_free_times_segmented(read_free, gemm, _ONE_CHAIN)
+    write_free_final = _write_free_final(compute_free, drain)
 
     compute_busy = float(np.cumsum(gemm)[-1])
     total = max(float(compute_free[-1]), float(read_free[-1]), write_free_final)
@@ -336,51 +307,296 @@ def execute_multi_array_schedule(schedule: ScheduleArrays, arrays: int) -> tuple
     compute_free = np.empty(n, dtype=np.float64)
     for engine in range(min(arrays, n)):
         sl = slice(engine, n, arrays)
-        compute_free[sl] = pipeline_free_times(read_free[sl], gemm[sl])
-
-    drained = np.flatnonzero(drain)
-    write_free_final = 0.0
-    if drained.size:
-        write_free_final = float(
-            pipeline_free_times(compute_free[drained], drain[drained])[-1]
+        compute_free[sl] = pipeline_free_times_segmented(
+            read_free[sl], gemm[sl], _ONE_CHAIN
         )
+    write_free_final = _write_free_final(compute_free, drain)
+
     compute_busy = float(np.cumsum(gemm)[-1])
     total = max(float(compute_free.max()), float(read_free[-1]), write_free_final)
     return total, compute_busy, _dma_busy_cycles(fill, drain), int(schedule.macs.sum())
 
 
 # --------------------------------------------------------------------------
-# Vectorized builders
+# Builders
 # --------------------------------------------------------------------------
+
+_Grid = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+class BatchPricer:
+    """Scalar-cost and chunk-grid memoization for one batch of schedules.
+
+    Every distinct argument tuple of each pricing function is evaluated
+    exactly once per pricer, no matter how many layers in the batch need
+    it.  All values come from the *same* scalar functions the item
+    scheduler calls, so sharing cannot change a single bit.
+
+    The IFMap-fill memo keys on exactly the features
+    :meth:`~repro.systolic.dma.FillEngine.ifmap_tile_fill_cycles` reads —
+    block rows, group size, batch, channels, stride, fill contiguity,
+    output row width, IFMap spatial size and the layout *class* (NHWC/HWCN
+    and NCHW/CHWN price identically) — so two different specs share an
+    entry only when the engine would have returned the identical float.
+    """
+
+    def __init__(self, config: TPUConfig, engine: FillEngine):
+        self.config = config
+        self.engine = engine
+        self._weight_fill: Dict[Tuple, float] = {}
+        self._occupancy: Dict[Tuple, float] = {}
+        self._drain: Dict[Tuple, float] = {}
+        self._a_fill: Dict[Tuple, float] = {}
+        self._ifmap_fill: Dict[Tuple, float] = {}
+        self._grids: Dict[Tuple, _Grid] = {}
+
+    # ------------------------------------------------------------- scalars
+    def weight_fill(self, k_t: int, n_t: int) -> float:
+        key = (k_t, n_t)
+        value = self._weight_fill.get(key)
+        if value is None:
+            value = self.engine.weight_fill_cycles(k_t, n_t)
+            self._weight_fill[key] = value
+        return value
+
+    def occupancy(self, rows: int, k_t: int, n_t: int, first: bool = False) -> float:
+        key = (rows, k_t, n_t, first)
+        value = self._occupancy.get(key)
+        if value is None:
+            value = tile_occupancy_cycles(rows, k_t, n_t, self.config, first=first)
+            self._occupancy[key] = value
+        return value
+
+    def drain(self, rows: int, n_t: int) -> float:
+        key = (rows, n_t)
+        value = self._drain.get(key)
+        if value is None:
+            value = self.engine.ofmap_drain_cycles(rows, n_t)
+            self._drain[key] = value
+        return value
+
+    def a_fill(self, rows: int, k_t: int) -> float:
+        key = (rows, k_t)
+        value = self._a_fill.get(key)
+        if value is None:
+            value = self.engine.gemm_a_fill_cycles(rows, k_t)
+            self._a_fill[key] = value
+        return value
+
+    def ifmap_fill(
+        self, spec: ConvSpec, rows: int, group_size: int, layout: Layout
+    ) -> float:
+        contiguous = spec.stride == 1 and spec.dilation == 1
+        key = (
+            rows,
+            group_size,
+            spec.n,
+            spec.c_in,
+            spec.stride,
+            contiguous,
+            spec.w_out,
+            spec.h_in * spec.w_in,
+            canonical_layout(layout),
+        )
+        value = self._ifmap_fill.get(key)
+        if value is None:
+            value = self.engine.ifmap_tile_fill_cycles(
+                spec, rows, group_size, layout=layout
+            )
+            self._ifmap_fill[key] = value
+        return value
+
+    # --------------------------------------------------------------- grids
+    def conv_grid(self, rows: int, merged_k: int, c_out: int, drains_here: bool) -> _Grid:
+        """Flat (fill, gemm, drain, macs) for one group's K×N chunk grid.
+
+        The OFMap drain lands on the last K-chunk row only when
+        ``drains_here`` (the block's last group).  The IFMap fill is *not*
+        included: it lands on the group's first element at assembly, after
+        the shared grid is copied.
+        """
+        return self._grid(rows, merged_k, c_out, drains_here, False)
+
+    def gemm_grid(self, rows: int, k: int, n: int) -> _Grid:
+        """Flat (fill, gemm, drain, macs) for one GEMM M-block's chunk grid.
+
+        The A-panel fill is baked into column 0 of every K-chunk row
+        (``weight + a_fill``, the reference's add order) and the C drain
+        into the last K-chunk row — both are functions of the key alone.
+        """
+        return self._grid(rows, k, n, True, True)
+
+    def _grid(self, rows: int, k: int, n: int, drains: bool, a_panel: bool) -> _Grid:
+        """The chunk grid both schedules share.
+
+        Row-major over K-chunks then N-chunks — exactly the item
+        scheduler's loop order — it holds at most four distinct values per
+        array (full/tail chunk on each axis), written as block assignments.
+        Cached arrays are immutable; callers must copy before mutating.
+        """
+        key = (rows, k, n, drains, a_panel)
+        cached = self._grids.get(key)
+        if cached is not None:
+            return cached
+        ar, ac = self.config.array_rows, self.config.array_cols
+        kc = -(-k // ar)
+        nc = -(-n // ac)
+        kt_last = k - (kc - 1) * ar
+        nt_last = n - (nc - 1) * ac
+
+        fill = np.empty((kc, nc), dtype=np.float64)
+        gemm = np.empty((kc, nc), dtype=np.float64)
+        if kc > 1 and nc > 1:
+            fill[: kc - 1, : nc - 1] = self.weight_fill(ar, ac)
+            gemm[: kc - 1, : nc - 1] = self.occupancy(rows, ar, ac)
+        if kc > 1:
+            fill[: kc - 1, nc - 1] = self.weight_fill(ar, nt_last)
+            gemm[: kc - 1, nc - 1] = self.occupancy(rows, ar, nt_last)
+        if nc > 1:
+            fill[kc - 1, : nc - 1] = self.weight_fill(kt_last, ac)
+            gemm[kc - 1, : nc - 1] = self.occupancy(rows, kt_last, ac)
+        fill[kc - 1, nc - 1] = self.weight_fill(kt_last, nt_last)
+        gemm[kc - 1, nc - 1] = self.occupancy(rows, kt_last, nt_last)
+
+        if a_panel:
+            a_fill = np.empty(kc, dtype=np.float64)
+            if kc > 1:
+                a_fill[: kc - 1] = self.a_fill(rows, ar)
+            a_fill[kc - 1] = self.a_fill(rows, kt_last)
+            fill[:, 0] += a_fill
+
+        drain = np.zeros((kc, nc), dtype=np.float64)
+        if drains:
+            if nc > 1:
+                drain[kc - 1, : nc - 1] = self.drain(rows, ac)
+            drain[kc - 1, nc - 1] = self.drain(rows, nt_last)
+
+        kt = np.full(kc, ar, dtype=np.int64)
+        kt[-1] = kt_last
+        nt = np.full(nc, ac, dtype=np.int64)
+        nt[-1] = nt_last
+        macs = rows * np.multiply.outer(kt, nt)
+
+        grids = (fill.reshape(-1), gemm.reshape(-1), drain.reshape(-1), macs.reshape(-1))
+        for arr in grids:
+            arr.flags.writeable = False
+        self._grids[key] = grids
+        return grids
+
+
+def _block_rows(total: int, block: int) -> List[int]:
+    """Rows of each M-block: ``block`` repeated, then one remainder."""
+    n_blocks = -(-total // block)
+    return [block] * (n_blocks - 1) + [total - block * (n_blocks - 1)]
 
 
 def _assemble_blocks(templates: dict, rows_sequence: List[int]) -> ScheduleArrays:
-    """Concatenate per-block templates in block order (tiling equal runs)."""
-    parts_fill: List[np.ndarray] = []
-    parts_gemm: List[np.ndarray] = []
-    parts_drain: List[np.ndarray] = []
-    parts_macs: List[np.ndarray] = []
+    """Concatenate per-block templates in block order (tiling equal runs).
+
+    The schedule always owns fresh, writable arrays, even when its one
+    block's template is a shared read-only pricer grid.
+    """
+    runs: List[Tuple[_Grid, int]] = []
     i = 0
     while i < len(rows_sequence):
         rows = rows_sequence[i]
         j = i
         while j < len(rows_sequence) and rows_sequence[j] == rows:
             j += 1
-        fill, gemm, drain, macs = templates[rows]
-        reps = j - i
-        parts_fill.append(np.tile(fill, reps) if reps > 1 else fill)
-        parts_gemm.append(np.tile(gemm, reps) if reps > 1 else gemm.copy())
-        parts_drain.append(np.tile(drain, reps) if reps > 1 else drain)
-        parts_macs.append(np.tile(macs, reps) if reps > 1 else macs)
+        runs.append((templates[rows], j - i))
         i = j
-    if len(parts_fill) == 1:
-        return ScheduleArrays(parts_gemm[0], parts_fill[0], parts_drain[0], parts_macs[0])
-    return ScheduleArrays(
-        gemm_cycles=np.concatenate(parts_gemm),
-        fill_cycles=np.concatenate(parts_fill),
-        drain_cycles=np.concatenate(parts_drain),
-        macs=np.concatenate(parts_macs),
+    if len(runs) == 1:
+        template, reps = runs[0]
+        fill, gemm, drain, macs = (np.tile(a, reps) for a in template)
+    else:
+        parts = [
+            [np.tile(a, reps) if reps > 1 else a for a in template]
+            for template, reps in runs
+        ]
+        fill, gemm, drain, macs = (np.concatenate(arrays) for arrays in zip(*parts))
+    return ScheduleArrays(gemm, fill, drain, macs)
+
+
+def _conv_template(
+    spec: ConvSpec,
+    rows: int,
+    groups: Sequence[MultiTileGroup],
+    pricer: BatchPricer,
+    layout: Layout,
+) -> _Grid:
+    """One IFMap block's template: concatenated group grids + IFMap fills."""
+    last_gi = len(groups) - 1
+    parts = [
+        pricer.conv_grid(rows, group.merged_k, spec.c_out, gi == last_gi)
+        for gi, group in enumerate(groups)
+    ]
+    # np.concatenate always copies, so the shared grids stay pristine and
+    # the IFMap-fill adds below mutate this template's own buffer.
+    fill, gemm, drain, macs = (np.concatenate(arrays) for arrays in zip(*parts))
+    offset = 0
+    for group, part in zip(groups, parts):
+        # weight + input_fill, the reference's order
+        fill[offset] += pricer.ifmap_fill(spec, rows, group.group_size, layout)
+        offset += part[0].size
+    return fill, gemm, drain, macs
+
+
+def _conv_schedule(
+    spec: ConvSpec,
+    config: TPUConfig,
+    pricer: BatchPricer,
+    groups: Sequence[MultiTileGroup],
+    group_size: int,
+    layout: Layout,
+) -> ScheduleArrays:
+    """The channel-first schedule over ``groups``: blocks x groups x K x N."""
+    global _CONSTRUCTION_COUNT
+    _CONSTRUCTION_COUNT += 1
+    rows_sequence = _block_rows(
+        spec.lowered_rows(), ifmap_rows_per_block(spec, config, group_size)
     )
+    templates = {
+        rows: _conv_template(spec, rows, groups, pricer, layout)
+        for rows in set(rows_sequence)
+    }
+    schedule = _assemble_blocks(templates, rows_sequence)
+    # Only the schedule's very first tile exposes the systolic skew.
+    schedule.gemm_cycles[0] = pricer.occupancy(
+        rows_sequence[0],
+        min(config.array_rows, groups[0].merged_k),
+        min(config.array_cols, spec.c_out),
+        first=True,
+    )
+    return schedule
+
+
+def _gemm_schedule(
+    shape: GemmShape, config: TPUConfig, pricer: BatchPricer
+) -> ScheduleArrays:
+    """The GEMM schedule: A-panel M-blocks x K-chunks x N-chunks."""
+    global _CONSTRUCTION_COUNT
+    _CONSTRUCTION_COUNT += 1
+    k_first = min(config.array_rows, shape.k)
+    # A-panel budget: one of two IFMap buffers, as in the conv schedule.
+    budget = config.unified_sram_bytes // 4
+    capacity_rows = max(1, budget // (k_first * config.compute_elem_bytes))
+    pipeline_rows = max(MIN_BLOCK_ROWS, -(-shape.m // MIN_PIPELINE_BLOCKS))
+    m_block = max(1, min(shape.m, capacity_rows, pipeline_rows))
+    rows_sequence = _block_rows(shape.m, m_block)
+    templates = {
+        rows: pricer.gemm_grid(rows, shape.k, shape.n)
+        for rows in set(rows_sequence)
+    }
+    schedule = _assemble_blocks(templates, rows_sequence)
+    schedule.gemm_cycles[0] = pricer.occupancy(
+        rows_sequence[0], k_first, min(config.array_cols, shape.n), first=True
+    )
+    return schedule
+
+
+def _count_construction() -> None:
+    if trace.enabled():
+        trace.counter("schedule.constructions", 1, cat="schedule")
 
 
 def conv_schedule_arrays_from_groups(
@@ -394,86 +610,12 @@ def conv_schedule_arrays_from_groups(
     """Array schedule for a channel-first conv over explicit tile groups.
 
     Mirrors the item builder's loop nest — blocks x groups x K-chunks x
-    N-chunks — but prices each distinct scalar argument tuple once and tiles
-    the per-block template over the equal-row blocks.
+    N-chunks — as a batch of one with a fresh :class:`BatchPricer`.
     """
-    global _CONSTRUCTION_COUNT
-    _CONSTRUCTION_COUNT += 1
-    if trace.enabled():
-        trace.counter("schedule.constructions", 1, cat="schedule")
-    array_rows, array_cols = config.array_rows, config.array_cols
-    m_total = spec.lowered_rows()
-    m_block = ifmap_rows_per_block(spec, config, group_size)
-    n_blocks = -(-m_total // m_block)
-    rows_sequence = [m_block] * (n_blocks - 1) + [m_total - m_block * (n_blocks - 1)]
-
-    weight_fill_memo: dict = {}
-    occupancy_memo: dict = {}
-    drain_memo: dict = {}
-    ifmap_fill_memo: dict = {}
-
-    def template(rows: int):
-        fills: List[float] = []
-        gemms: List[float] = []
-        drains: List[float] = []
-        macs: List[int] = []
-        last_group_index = len(groups) - 1
-        for gi, group in enumerate(groups):
-            merged_k = group.merged_k
-            fill_key = (rows, group.group_size)
-            input_fill = ifmap_fill_memo.get(fill_key)
-            if input_fill is None:
-                input_fill = engine.ifmap_tile_fill_cycles(
-                    spec, rows, group.group_size, layout=layout
-                )
-                ifmap_fill_memo[fill_key] = input_fill
-            first_chunk = True
-            for k0 in range(0, merged_k, array_rows):
-                k_t = min(array_rows, merged_k - k0)
-                drains_here = gi == last_group_index and k0 + k_t >= merged_k
-                for n0 in range(0, spec.c_out, array_cols):
-                    n_t = min(array_cols, spec.c_out - n0)
-                    fill = weight_fill_memo.get((k_t, n_t))
-                    if fill is None:
-                        fill = engine.weight_fill_cycles(k_t, n_t)
-                        weight_fill_memo[(k_t, n_t)] = fill
-                    if first_chunk:
-                        fill = fill + input_fill
-                        first_chunk = False
-                    if drains_here:
-                        drain = drain_memo.get((rows, n_t))
-                        if drain is None:
-                            drain = engine.ofmap_drain_cycles(rows, n_t)
-                            drain_memo[(rows, n_t)] = drain
-                    else:
-                        drain = 0.0
-                    occupancy = occupancy_memo.get((rows, k_t, n_t))
-                    if occupancy is None:
-                        occupancy = tile_occupancy_cycles(
-                            rows, k_t, n_t, config, first=False
-                        )
-                        occupancy_memo[(rows, k_t, n_t)] = occupancy
-                    fills.append(fill)
-                    gemms.append(occupancy)
-                    drains.append(drain)
-                    macs.append(rows * k_t * n_t)
-        return (
-            np.array(fills, dtype=np.float64),
-            np.array(gemms, dtype=np.float64),
-            np.array(drains, dtype=np.float64),
-            np.array(macs, dtype=np.int64),
-        )
-
-    templates = {rows: template(rows) for rows in set(rows_sequence)}
-    schedule = _assemble_blocks(templates, rows_sequence)
-    if len(schedule) and groups:
-        # Only the schedule's very first tile exposes the systolic skew.
-        first_k = min(array_rows, groups[0].merged_k)
-        first_n = min(array_cols, spec.c_out)
-        schedule.gemm_cycles[0] = tile_occupancy_cycles(
-            rows_sequence[0], first_k, first_n, config, first=True
-        )
-    return schedule
+    _count_construction()
+    return _conv_schedule(
+        spec, config, BatchPricer(config, engine), groups, group_size, layout
+    )
 
 
 def channel_first_schedule_arrays(
@@ -497,78 +639,6 @@ def gemm_schedule_arrays(
     shape: GemmShape, config: TPUConfig, engine: Optional[FillEngine] = None
 ) -> ScheduleArrays:
     """Vectorized twin of :func:`repro.systolic.scheduler.gemm_schedule`."""
-    global _CONSTRUCTION_COUNT
-    _CONSTRUCTION_COUNT += 1
-    if trace.enabled():
-        trace.counter("schedule.constructions", 1, cat="schedule")
+    _count_construction()
     engine = engine if engine is not None else FillEngine(config)
-    array_rows, array_cols = config.array_rows, config.array_cols
-    elem = config.compute_elem_bytes
-    budget = config.unified_sram_bytes // 4
-    k_chunks = [
-        min(array_rows, shape.k - k0) for k0 in range(0, shape.k, array_rows)
-    ]
-    per_row = max(k_chunks) * elem
-    capacity_rows = max(1, budget // per_row)
-    pipeline_rows = max(MIN_BLOCK_ROWS, -(-shape.m // MIN_PIPELINE_BLOCKS))
-    m_block = max(1, min(shape.m, capacity_rows, pipeline_rows))
-    n_blocks = -(-shape.m // m_block)
-    rows_sequence = [m_block] * (n_blocks - 1) + [shape.m - m_block * (n_blocks - 1)]
-
-    weight_fill_memo: dict = {}
-    occupancy_memo: dict = {}
-    drain_memo: dict = {}
-    a_fill_memo: dict = {}
-
-    def template(rows: int):
-        fills: List[float] = []
-        gemms: List[float] = []
-        drains: List[float] = []
-        macs: List[int] = []
-        for k0 in range(0, shape.k, array_rows):
-            k_t = min(array_rows, shape.k - k0)
-            a_fill = a_fill_memo.get((rows, k_t))
-            if a_fill is None:
-                a_fill = engine.gemm_a_fill_cycles(rows, k_t)
-                a_fill_memo[(rows, k_t)] = a_fill
-            drains_here = k0 + k_t >= shape.k
-            first = True
-            for n0 in range(0, shape.n, array_cols):
-                n_t = min(array_cols, shape.n - n0)
-                fill = weight_fill_memo.get((k_t, n_t))
-                if fill is None:
-                    fill = engine.weight_fill_cycles(k_t, n_t)
-                    weight_fill_memo[(k_t, n_t)] = fill
-                if first:
-                    fill = fill + a_fill
-                    first = False
-                if drains_here:
-                    drain = drain_memo.get((rows, n_t))
-                    if drain is None:
-                        drain = engine.ofmap_drain_cycles(rows, n_t)
-                        drain_memo[(rows, n_t)] = drain
-                else:
-                    drain = 0.0
-                occupancy = occupancy_memo.get((rows, k_t, n_t))
-                if occupancy is None:
-                    occupancy = tile_occupancy_cycles(rows, k_t, n_t, config, first=False)
-                    occupancy_memo[(rows, k_t, n_t)] = occupancy
-                fills.append(fill)
-                gemms.append(occupancy)
-                drains.append(drain)
-                macs.append(rows * k_t * n_t)
-        return (
-            np.array(fills, dtype=np.float64),
-            np.array(gemms, dtype=np.float64),
-            np.array(drains, dtype=np.float64),
-            np.array(macs, dtype=np.int64),
-        )
-
-    templates = {rows: template(rows) for rows in set(rows_sequence)}
-    schedule = _assemble_blocks(templates, rows_sequence)
-    if len(schedule):
-        first_n = min(array_cols, shape.n)
-        schedule.gemm_cycles[0] = tile_occupancy_cycles(
-            rows_sequence[0], k_chunks[0], first_n, config, first=True
-        )
-    return schedule
+    return _gemm_schedule(shape, config, BatchPricer(config, engine))

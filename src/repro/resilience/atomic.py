@@ -13,19 +13,26 @@ mid-write without leaving a torn file behind:
   single small line are effectively atomic on POSIX, so a journal either
   gains the whole record or none of it; a torn tail can only be the very
   last line, which journal readers skip-and-warn on.
+- :func:`read_journal` — the one reader for those journals: every
+  well-formed record in order, each torn or corrupt line skipped with a
+  warning and counted.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import tempfile
-from typing import Union
+from typing import Any, Callable, List, Tuple, Union
+
+from ..obs import log as obs_log
 
 __all__ = [
     "atomic_write_text",
     "atomic_write_bytes",
     "crash_safe_append",
+    "read_journal",
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -77,3 +84,38 @@ def crash_safe_append(path: PathLike, line: str, fsync: bool = True) -> pathlib.
         if fsync:
             os.fsync(handle.fileno())
     return path
+
+
+def read_journal(
+    path: PathLike,
+    schema: int,
+    event: str,
+    parse: Callable[[dict], Any],
+) -> Tuple[List[Any], int]:
+    """Read a :func:`crash_safe_append` JSONL journal, tolerating torn tails.
+
+    Returns ``(records, corrupt)``: ``parse(doc)`` for every line whose JSON
+    object carries ``schema``, in journal order, and how many non-blank lines
+    were skipped.  A line that is torn, is not a JSON object, has another
+    schema or makes ``parse`` raise ``ValueError``/``KeyError``/``TypeError``
+    is skipped with an ``event`` warning naming the path and line, never
+    fatal.  A missing journal is empty.
+    """
+    path = pathlib.Path(path)
+    records: List[Any] = []
+    corrupt = 0
+    if not path.exists():
+        return records, corrupt
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+            if doc.get("schema") != schema:
+                raise ValueError(f"unknown schema {doc.get('schema')!r}")
+            records.append(parse(doc))
+        except (ValueError, KeyError, TypeError, AttributeError) as err:
+            corrupt += 1
+            obs_log.warning(event, path=str(path), line=lineno, error=str(err))
+    return records, corrupt

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..harness.report import ExperimentResult, Table
 from ..obs import log as obs_log
-from .atomic import crash_safe_append
+from .atomic import crash_safe_append, read_journal
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -140,30 +140,15 @@ def load_journal(path) -> Tuple[Dict[Key, Dict[str, Any]], int]:
     the worst outcome of a bad record is recomputing one experiment.
     Returns ``(records, corrupt_count)``.
     """
-    path = pathlib.Path(path)
-    records: Dict[Key, Dict[str, Any]] = {}
-    corrupt = 0
-    if not path.exists():
-        return records, corrupt
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if record.get("schema") != CHECKPOINT_SCHEMA:
-                raise ValueError(f"unknown schema {record.get('schema')!r}")
-            key = (record["experiment"], record["fingerprint"])
-            record["result"]["experiment_id"]  # shape check
-        except (ValueError, KeyError, TypeError) as err:
-            corrupt += 1
-            obs_log.warning(
-                "checkpoint.corrupt_record",
-                path=str(path), line=lineno, error=str(err),
-            )
-            continue
-        records[key] = record
-    return records, corrupt
+    entries, corrupt = read_journal(
+        path, CHECKPOINT_SCHEMA, "checkpoint.corrupt_record", _keyed_record
+    )
+    return dict(entries), corrupt
+
+
+def _keyed_record(record: Dict[str, Any]) -> Tuple[Key, Dict[str, Any]]:
+    record["result"]["experiment_id"]  # shape check
+    return (record["experiment"], record["fingerprint"]), record
 
 
 class CheckpointJournal:

@@ -25,7 +25,7 @@ import pathlib
 from typing import Any, Dict, List, Optional
 
 from ..obs import log as obs_log
-from .atomic import crash_safe_append
+from .atomic import crash_safe_append, read_journal
 
 __all__ = ["QUARANTINE_SCHEMA", "QuarantineRecord", "QuarantineFile"]
 
@@ -83,28 +83,11 @@ class QuarantineFile:
         advisory: losing a record re-exposes one poison task to its
         failure cap, nothing worse).
         """
-        records: Dict[str, QuarantineRecord] = {}
-        if not self.path.exists():
-            return records
-        for lineno, line in enumerate(
-            self.path.read_text().splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                if doc.get("schema") != QUARANTINE_SCHEMA:
-                    raise ValueError(f"unknown schema {doc.get('schema')!r}")
-                record = QuarantineRecord.from_doc(doc)
-            except (ValueError, KeyError, TypeError) as err:
-                obs_log.warning(
-                    "quarantine.corrupt_record",
-                    path=str(self.path), line=lineno, error=str(err),
-                )
-                continue
-            records[record.task_id] = record
-        return records
+        records, _ = read_journal(
+            self.path, QUARANTINE_SCHEMA, "quarantine.corrupt_record",
+            QuarantineRecord.from_doc,
+        )
+        return {record.task_id: record for record in records}
 
     def task_ids(self) -> List[str]:
         return sorted(self.load())

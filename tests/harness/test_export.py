@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -120,3 +124,24 @@ def test_unique_titles_keep_unsuffixed_names(tmp_path):
     result.add_table(Table("Beta", ("k",))).add_row(2)
     names = {p.name for p in write_results([result], tmp_path)}
     assert {"demo.alpha.csv", "demo.beta.csv"} <= names
+
+
+def test_cold_reproduction_matches_committed_results(tmp_path):
+    """A fresh ``python -m repro.harness.runner --export-dir`` re-creates the
+    committed ``results/`` byte for byte (``README.md`` aside)."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    export_dir = tmp_path / "results"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    subprocess.run(
+        [sys.executable, "-m", "repro.harness.runner", "--export-dir", str(export_dir)],
+        cwd=tmp_path, env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    committed = {
+        path.name: path.read_bytes()
+        for path in (root / "results").iterdir()
+        if path.is_file() and path.name != "README.md"
+    }
+    exported = {path.name: path.read_bytes() for path in export_dir.iterdir()}
+    assert sorted(exported) == sorted(committed)
+    for name, data in committed.items():
+        assert exported[name] == data, f"results/{name} differs from a fresh export"

@@ -1,11 +1,14 @@
 """Bit-exactness gate for the cross-layer batched schedule engine.
 
-The batched builders/executor (:mod:`repro.perf.batch`) must reproduce the
-per-layer :mod:`repro.perf.schedule_arrays` path — and hence the per-item
-reference scheduler — to the last float bit, over the same fuzz surfaces
-the executor-equivalence suite uses plus the audit corpus.  The cache
-accounting (hits / canonical hits / misses / entries) must also be
-indistinguishable from running the layers one at a time.
+A single layer's schedule is a batch of one with a fresh pricer, so the
+builder checks here prove that sharing one
+:class:`~repro.perf.schedule_arrays.BatchPricer` across many jobs changes
+no bit.  The batched executor (:mod:`repro.perf.batch`) must reproduce the
+one-schedule executor — and hence the per-item reference scheduler — to
+the last float bit, over the same fuzz surfaces the executor-equivalence
+suite uses plus the audit corpus.  The cache accounting (hits / canonical
+hits / misses / entries) must also be indistinguishable from running the
+layers one at a time.
 """
 
 import dataclasses
@@ -112,9 +115,57 @@ def test_batched_executor_raggedness_fallback_is_bit_identical(monkeypatch):
         perf_schedules.channel_first_schedule_arrays(spec, TPU_V2)
         for spec in random_conv_specs(6, seed=13)
     ]
+    monkeypatch.setattr(perf_batch, "_MIN_BATCHED_JOBS", 1)
     dense = perf_batch.execute_schedule_batch(schedules)
     monkeypatch.setattr(perf_batch, "_MAX_PADDED_ELEMENTS", 1)
     assert perf_batch.execute_schedule_batch(schedules) == dense
+
+
+@pytest.mark.parametrize("jobs", [1, 2, perf_batch._MIN_BATCHED_JOBS - 1])
+def test_small_batches_match_the_flat_batch(monkeypatch, jobs):
+    """Below the crossover batches run one schedule at a time; the flat
+    batch, forced on the same schedules (with empties around them), must
+    give the same results."""
+    schedules = [
+        perf_schedules.channel_first_schedule_arrays(spec, TPU_V2)
+        for spec in random_conv_specs(jobs, seed=21)
+    ]
+    empty = dataclasses.replace(
+        schedules[0],
+        gemm_cycles=schedules[0].gemm_cycles[:0],
+        fill_cycles=schedules[0].fill_cycles[:0],
+        drain_cycles=schedules[0].drain_cycles[:0],
+        macs=schedules[0].macs[:0],
+    )
+    batch = [empty] + schedules + [empty]
+    small = perf_batch.execute_schedule_batch(batch)
+    monkeypatch.setattr(perf_batch, "_MIN_BATCHED_JOBS", 1)
+    flat = perf_batch.execute_schedule_batch(batch)
+    assert small == flat
+    for schedule, result in zip(schedules, small[1:-1]):
+        assert_results_equal(result, perf_schedules.execute_schedule_arrays(schedule))
+    assert small[0].items == small[-1].items == 0
+
+
+def test_schedules_own_writable_arrays():
+    """A built schedule never aliases a pricer's read-only cached grids,
+    not even a one-block GEMM whose arrays are one grid each."""
+    from repro.core.conv_spec import GemmShape
+
+    shape = GemmShape(m=8, n=300, k=200)
+    spec = random_conv_specs(1, seed=5)[0]
+    for schedule in (
+        perf_schedules.gemm_schedule_arrays(shape, TPU_V2),
+        perf_batch.gemm_schedule_batch([shape, shape], TPU_V2)[1],
+        perf_schedules.channel_first_schedule_arrays(spec, TPU_V2),
+    ):
+        for array in (
+            schedule.gemm_cycles,
+            schedule.fill_cycles,
+            schedule.drain_cycles,
+            schedule.macs,
+        ):
+            assert array.flags.writeable
 
 
 def test_segmented_recurrence_matches_per_job_recurrence():
@@ -131,7 +182,10 @@ def test_segmented_recurrence_matches_per_job_recurrence():
         a = np.concatenate(a_parts)
         out = perf_schedules.pipeline_free_times_segmented(s, a, starts)
         expected = np.concatenate(
-            [perf_schedules.pipeline_free_times(sp, ap) for sp, ap in zip(s_parts, a_parts)]
+            [
+                perf_schedules.pipeline_free_times_segmented(sp, ap, [0])
+                for sp, ap in zip(s_parts, a_parts)
+            ]
         )
         assert np.array_equal(out, expected)
 

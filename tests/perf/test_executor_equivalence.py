@@ -16,10 +16,11 @@ from repro.core.layouts import Layout
 from repro.perf.schedule_arrays import (
     ScheduleArrays,
     channel_first_schedule_arrays,
+    conv_schedule_arrays_from_groups,
     execute_multi_array_schedule,
     execute_schedule_arrays,
     gemm_schedule_arrays,
-    pipeline_free_times,
+    pipeline_free_times_segmented,
 )
 from repro.systolic.config import TPU_V2, TPUConfig
 from repro.systolic.dual_mxu import _execute_multi_array
@@ -117,6 +118,31 @@ def test_gemm_schedules_bit_identical(config):
         assert_results_equal(execute_schedule_arrays(schedule), execute_schedule(items))
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=["v2", "no-dbuf", "64x64"])
+def test_sparse_schedules_bit_identical(config):
+    """Masked-group arrays == the sparse per-item reference, bit for bit."""
+    from repro.core.sparsity import PositionMask
+    from repro.core.tiling import tpu_multi_tile_policy
+    from repro.systolic.dma import FillEngine
+    from repro.systolic.sparse_schedule import (
+        _masked_groups,
+        sparse_channel_first_schedule,
+    )
+
+    rng = random.Random(42)
+    for spec in random_conv_specs(20, seed=4242):
+        keep = rng.randint(1, spec.positions)
+        mask = PositionMask(spec, tuple(sorted(rng.sample(range(spec.positions), keep))))
+        group_size = tpu_multi_tile_policy(spec, config.array_rows)
+        items = sparse_channel_first_schedule(spec, mask, config)
+        schedule = conv_schedule_arrays_from_groups(
+            spec, config, FillEngine(config), _masked_groups(spec, mask, group_size), group_size
+        )
+        assert_arrays_equal(schedule, ScheduleArrays.from_work_items(items))
+        assert_results_equal(execute_schedule_arrays(schedule), execute_schedule(items))
+        assert execute_schedule(schedule.to_work_items()) == execute_schedule(items)
+
+
 @pytest.mark.parametrize("arrays", [2, 4])
 def test_multi_array_executor_bit_identical(arrays):
     for spec in random_conv_specs(8, seed=7):
@@ -134,7 +160,7 @@ def test_pipeline_free_times_matches_fold():
         # Mix of idle gaps (restarts) and back-to-back items.
         s = np.cumsum(rng.exponential(10.0, size=n)) * rng.choice([0.5, 1.0, 2.0])
         a = rng.exponential(15.0, size=n)
-        out = pipeline_free_times(s, a)
+        out = pipeline_free_times_segmented(s, a, [0])
         prev = 0.0
         for i in range(n):
             prev = max(prev, float(s[i])) + float(a[i])
