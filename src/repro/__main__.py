@@ -191,70 +191,6 @@ def cmd_sentinel(args) -> int:
     return run_sentinel(args=args)
 
 
-def cmd_serve(args) -> int:
-    from .store.serve import serve_main
-
-    argv = ["--host", args.host, "--port", str(args.port),
-            "--max-pending", str(args.max_pending),
-            "--batch-window", str(args.batch_window),
-            "--max-batch", str(args.max_batch),
-            "--workers", str(args.workers),
-            "--default-deadline-ms", str(args.default_deadline_ms),
-            "--breaker-threshold", str(args.breaker_threshold),
-            "--breaker-cooldown", str(args.breaker_cooldown),
-            "--slo-p99-ms", str(args.slo_p99_ms),
-            "--slo-error-ratio", str(args.slo_error_ratio)]
-    if args.no_watchdog:
-        argv.append("--no-watchdog")
-    if args.inject_faults:
-        argv.extend(["--inject-faults", args.inject_faults])
-    if args.store:
-        argv.extend(["--store", args.store])
-    if args.run_id:
-        argv.extend(["--run-id", args.run_id])
-    if args.log_file:
-        argv.extend(["--log-file", args.log_file])
-    if args.trace is not None:
-        argv.extend(["--trace", args.trace])
-    if args.status_file:
-        argv.extend(["--status-file", args.status_file])
-    if args.flight:
-        argv.extend(["--flight", args.flight])
-    return serve_main(argv)
-
-
-def cmd_top(args) -> int:
-    from .obs.flight.top import top_main
-
-    argv: List[str] = []
-    if args.status_file:
-        argv.extend(["--status-file", args.status_file])
-    if args.url:
-        argv.extend(["--url", args.url])
-    if args.once:
-        argv.append("--once")
-    if args.interval != 1.0:
-        argv.extend(["--interval", str(args.interval)])
-    if args.plain:
-        argv.append("--plain")
-    return top_main(argv)
-
-
-def cmd_report(args) -> int:
-    from .harness.attribution import report_main
-
-    argv: List[str] = list(args.experiments)
-    if args.goldens != "tests/trace/goldens":
-        argv.extend(["--goldens", args.goldens])
-    if args.output:
-        argv.extend(["-o", args.output])
-    if args.html:
-        argv.append("--html")
-    if args.top:
-        argv.extend(["--top", str(args.top)])
-    return report_main(argv)
-
-
 def cmd_store(args) -> int:
     from .store import ResultStore
 
@@ -375,60 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve conv-timing queries over HTTP/JSON (asyncio daemon "
         "with request dedup, batching, load shedding and /metrics)",
     )
-    from .store.serve import ServeConfig as _ServeDefaults
+    from .store.serve import add_serve_arguments, serve_from_args
 
-    defaults = _ServeDefaults()
-    p.add_argument("--host", default=defaults.host)
-    p.add_argument("--port", type=int, default=defaults.port,
-                   help=f"listen port (default {defaults.port}; 0 = ephemeral)")
-    p.add_argument("--store", default="", metavar="DIR",
-                   help="persistent result store to warm-start from")
-    p.add_argument("--max-pending", type=int, default=defaults.max_pending,
-                   help="pending-query budget before 429 load shedding")
-    p.add_argument("--batch-window", type=float,
-                   default=defaults.batch_window_s, metavar="S",
-                   help="coalescing window before each engine batch; applies "
-                   "only to queries that need the store or the engine (memo "
-                   "hits are answered at admission)")
-    p.add_argument("--max-batch", type=int, default=defaults.max_batch,
-                   help="queries per simulate_conv_batch call at most")
-    p.add_argument("--workers", type=int, default=defaults.workers,
-                   help="pre-forked request workers behind a supervising "
-                   "parent (default 1 = single process)")
-    p.add_argument("--default-deadline-ms", type=float,
-                   default=defaults.default_deadline_ms, metavar="MS",
-                   help="per-request deadline when no X-Repro-Deadline-Ms "
-                   "header arrives")
-    p.add_argument("--breaker-threshold", type=int,
-                   default=defaults.breaker_threshold,
-                   help="failures that trip a spec fingerprint's circuit "
-                   "breaker (fast 422 afterwards)")
-    p.add_argument("--breaker-cooldown", type=float,
-                   default=defaults.breaker_cooldown_s, metavar="S",
-                   help="seconds an open breaker refuses before half-opening")
-    p.add_argument("--slo-p99-ms", type=float, default=defaults.slo_p99_ms,
-                   help="p99 latency above which the degradation ladder "
-                   "escalates")
-    p.add_argument("--slo-error-ratio", type=float,
-                   default=defaults.slo_error_ratio,
-                   help="error ratio above which the ladder escalates")
-    p.add_argument("--no-watchdog", action="store_true",
-                   help="disable the SLO watchdog (degradation rung moves "
-                   "only explicitly)")
-    p.add_argument("--inject-faults", default=None, metavar="SPEC",
-                   help="seeded chaos plan, e.g. 'serve=conn-reset,"
-                   "worker-crash,rate=0.05,seed=7,poison=hostile'")
-    p.add_argument("--run-id", default=None, metavar="RUN_ID",
-                   help="pin the daemon's run id (default: generated)")
-    p.add_argument("--trace", nargs="?", const="serve-trace.json",
-                   default=None, metavar="PATH",
-                   help="record request/batch spans; Chrome trace written "
-                   "to PATH on drain (default serve-trace.json)")
-    p.add_argument("--status-file", default=None, metavar="PATH",
-                   help="status beacon JSON for `repro top --status-file`")
-    p.add_argument("--flight", default=None, metavar="DIR",
-                   help="flight-recorder dumps (faults, SIGUSR1) into DIR")
-    p.set_defaults(func=cmd_serve)
+    add_serve_arguments(p)
+    p.set_defaults(func=serve_from_args)
 
     p = sub.add_parser(
         "store", parents=[obs_parent],
@@ -485,34 +371,19 @@ def build_parser() -> argparse.ArgumentParser:
         "top", parents=[obs_parent],
         help="live ops console over a runner's/server's status beacon",
     )
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--status-file", default=None, metavar="PATH",
-                        help="beacon file written by --status-file runs")
-    source.add_argument("--url", default=None, metavar="URL",
-                        help="base URL of a serve daemon (/statusz is polled)")
-    p.add_argument("--once", action="store_true",
-                   help="print one snapshot and exit (for scripts/CI)")
-    p.add_argument("--interval", type=float, default=1.0, metavar="S",
-                   help="refresh period (default 1s)")
-    p.add_argument("--plain", action="store_true",
-                   help="line-oriented output instead of the curses screen")
-    p.set_defaults(func=cmd_top)
+    from .obs.flight.top import add_top_arguments, top_from_args
+
+    add_top_arguments(p)
+    p.set_defaults(func=top_from_args)
 
     p = sub.add_parser(
         "report", parents=[obs_parent],
         help="Fig 2a-style bottleneck attribution from golden snapshots",
     )
-    p.add_argument("experiments", nargs="*",
-                   help="golden experiment ids (default: fig13)")
-    p.add_argument("--goldens", default="tests/trace/goldens", metavar="DIR",
-                   help="directory holding <experiment>.json goldens")
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="write the report here instead of stdout")
-    p.add_argument("--html", action="store_true",
-                   help="emit a self-contained HTML page")
-    p.add_argument("--top", type=int, default=0, metavar="N",
-                   help="table rows per experiment (0 = all workloads)")
-    p.set_defaults(func=cmd_report)
+    from .harness.attribution import add_report_arguments, report_from_args
+
+    add_report_arguments(p)
+    p.set_defaults(func=report_from_args)
     return parser
 
 

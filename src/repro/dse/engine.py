@@ -24,11 +24,13 @@ died holding the task) reach ``max_task_failures`` is parked in the
 replayable quarantine journal; its design point is excluded from the
 frontier and listed in the artifact.
 
-Worker supervision mirrors the PR-4 supervisor's policy at queue
-granularity: heartbeat-checked respawn with fresh owner identities (so a
-zombie's leases fence correctly), capped; past the cap the coordinator
-degrades to draining the queue serially in-process (with process-killing
-chaos disabled, as the supervisor does).
+Worker supervision mirrors the :mod:`repro.resilience.supervisor` policy
+at queue granularity: heartbeat-checked respawn with fresh owner
+identities (so a zombie's leases fence correctly), capped; past the cap
+the coordinator degrades to draining the queue in-process with the
+workers' own pass, :func:`repro.dse.worker.drain_pass` (with
+process-killing chaos disabled, as the supervisor does).  A ``--jobs 1``
+sweep drains the same way from the start.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from ..obs.flight import configure_recorder, get_beacon, maybe_dump
 from ..resilience.atomic import atomic_write_text
 from ..resilience.quarantine import QuarantineFile, QuarantineRecord
 from .chaos import ChaosPlan
-from .evaluate import parse_workload, workload_layers
+from .evaluate import workload_layers
 from .frontier import (
     FrontierJournal,
     FrontierPoint,
@@ -57,7 +59,7 @@ from .frontier import (
 )
 from .queue import Task, WorkQueue
 from .space import PRESETS, DesignPoint, DesignSpace
-from .worker import worker_entry
+from .worker import drain_pass, worker_entry
 
 __all__ = ["SWEEP_SCHEMA", "SweepConfig", "run_sweep", "sweep_status", "replay_quarantine"]
 
@@ -382,6 +384,8 @@ def run_sweep(cfg: SweepConfig) -> Dict[str, Any]:
     finally:
         if pool is not None:
             pool.stop(queue)
+        if pool is None or pool.degraded:  # the coordinator drained tasks
+            queue.heartbeat("coordinator", state="stopped")
 
     results = queue.load_results()
     parked = sorted(quarantine.load())
@@ -445,12 +449,14 @@ def _wait_for_round(
     In serial mode (or after pool degradation) it also drains the queue
     itself, one pass per loop iteration.
     """
-    serial = pool is None
     while True:
-        if serial or (pool is not None and pool.degraded):
+        if pool is None or pool.degraded:
             # Drain one pass in-process; process-killing chaos is fenced
             # off by coordinator_pid inside ChaosPlan.apply.
-            _serial_pass(cfg, queue, chaos)
+            drain_pass(
+                queue, "coordinator", cfg.lease_ttl_s, chaos,
+                cfg.max_task_failures,
+            )
         results = queue.load_results()
         parked = quarantine.load()
         pending = [
@@ -466,47 +472,8 @@ def _wait_for_round(
         _park_poison(cfg, queue, quarantine, pending)
         if pool is not None:
             pool.reap_and_respawn()
-        if not serial and not (pool is not None and pool.degraded):
-            time.sleep(_POLL_S)
-
-
-def _serial_pass(
-    cfg: SweepConfig, queue: WorkQueue, chaos: Optional[ChaosPlan]
-) -> None:
-    """One claim-evaluate-journal pass over currently pending tasks,
-    in-process (serial mode and post-degradation fallback)."""
-    from ..errors import classify_error
-    from .worker import _evaluate, _quarantined_ids
-
-    tasks = queue.load_tasks()
-    results = queue.load_results()
-    parked = _quarantined_ids(queue.root)
-    owner = "coordinator"
-    failures = queue.load_failures()
-    for task_id in sorted(tasks):
-        if task_id in results or task_id in parked:
-            continue
-        if len(failures.get(task_id, [])) >= cfg.max_task_failures:
-            continue  # at the cap — the poison verdict decides its fate
-        lease = queue.claim(task_id, owner, cfg.lease_ttl_s)
-        if lease is None:
-            continue
-        attempt = len(queue.load_failures().get(task_id, [])) + 1
-        try:
-            if chaos is not None:
-                chaos.apply(queue, task_id, attempt, lease.generation)
-            queue.complete(task_id, _evaluate(tasks[task_id].payload))
-        except Exception as err:
-            kind = classify_error(err).__name__
-            queue.record_failure(
-                task_id, owner, attempt, kind=kind, error=str(err)
-            )
-            obs_log.warning(
-                "dse.task.failed",
-                task=task_id, attempt=attempt, kind=kind, error=str(err),
-            )
-        finally:
-            queue.release(task_id, owner)
+            if not pool.degraded:
+                time.sleep(_POLL_S)
 
 
 def _park_poison(

@@ -5,11 +5,13 @@ memory with the coordinator, so the coordinator respawning it (or chaos
 killing it) loses at most one in-flight evaluation, which the lease
 protocol hands to a survivor after the TTL.
 
-Per task: claim the lease (skipping tasks someone else holds), fire any
-injected chaos fault, evaluate the (design point, workload) pair, append
-the deterministic result to the task's shard journal, release the lease.
-Failures append to ``failures.jsonl`` and move on — deciding whether a
-task is *poison* is the coordinator's job, not the worker's.
+Per task, in :func:`drain_pass`: claim the lease (skipping tasks someone
+else holds), fire any injected chaos fault, evaluate the (design point,
+workload) pair, append the deterministic result to the task's shard
+journal, release the lease.  Failures append to ``failures.jsonl`` and
+move on — deciding whether a task is *poison* is the coordinator's job,
+not the worker's.  The coordinator drains with the same pass when it has
+no pool (``--jobs 1``) or its pool degraded.
 
 Liveness is reported two ways: an atomic per-worker heartbeat file after
 every task (read by the coordinator's monitor and ``repro top``), and a
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import pathlib
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import classify_error
 from ..obs import log as obs_log
@@ -32,7 +34,7 @@ from .evaluate import evaluate_task
 from .queue import WorkQueue
 from .space import DesignPoint
 
-__all__ = ["run_worker", "worker_entry"]
+__all__ = ["drain_pass", "run_worker", "worker_entry"]
 
 #: Idle poll interval — how often a worker with nothing claimable re-reads
 #: the task journal (the coordinator appends new rounds to it).
@@ -64,71 +66,78 @@ def run_worker(
     completed = 0
     queue.heartbeat(worker_id, state="starting", done=completed)
     while not queue.stop_requested():
-        tasks = queue.load_tasks()
-        done = queue.load_results()
-        parked = _quarantined_ids(queue.root)
-        pending = sorted(
-            tid for tid in tasks if tid not in done and tid not in parked
+        claimed, completed = drain_pass(
+            queue, worker_id, lease_ttl_s, chaos, max_failures, completed
         )
-        if not pending:
+        if not claimed:  # nothing pending, or all of it leased elsewhere
             queue.heartbeat(worker_id, state="idle", done=completed)
             time.sleep(poll_s)
-            continue
-        claimed_any = False
-        for task_id in pending:
-            if queue.stop_requested():
-                break
-            if max_failures is not None:
-                recorded = len(queue.load_failures().get(task_id, []))
-                if recorded >= max_failures:
-                    continue  # awaiting the coordinator's poison verdict
-            lease = queue.claim(task_id, worker_id, lease_ttl_s)
-            if lease is None:
-                continue  # someone else holds it
-            claimed_any = True
-            if lease.generation > 1:
-                # This worker just reclaimed a dead/hung owner's task —
-                # keep the post-mortem context around.
-                maybe_dump(
-                    "lease-reclaim",
-                    {
-                        "task": task_id,
-                        "owner": worker_id,
-                        "generation": lease.generation,
-                    },
-                )
-            queue.heartbeat(
-                worker_id, state="running", task=task_id, done=completed
-            )
-            attempt = len(queue.load_failures().get(task_id, [])) + 1
-            try:
-                if chaos is not None:
-                    chaos.apply(queue, task_id, attempt, lease.generation)
-                payload = _evaluate(tasks[task_id].payload)
-                queue.complete(task_id, payload)
-                completed += 1
-            except KeyboardInterrupt:
-                queue.release(task_id, worker_id)
-                raise
-            except Exception as err:  # journal and move on — never die
-                kind = classify_error(err).__name__
-                queue.record_failure(
-                    task_id, worker_id, attempt, kind=kind, error=str(err)
-                )
-                obs_log.warning(
-                    "dse.task.failed",
-                    task=task_id, attempt=attempt, kind=kind, error=str(err),
-                )
-                maybe_dump(
-                    "dse-task-failure",
-                    {"task": task_id, "attempt": attempt, "kind": kind},
-                )
-            finally:
-                queue.release(task_id, worker_id)
-        if not claimed_any:
-            time.sleep(poll_s)  # everything pending is leased elsewhere
     queue.heartbeat(worker_id, state="stopped", done=completed)
     return completed
+
+
+def drain_pass(
+    queue: WorkQueue,
+    owner: str,
+    lease_ttl_s: float,
+    chaos: Optional[ChaosPlan] = None,
+    max_failures: Optional[int] = None,
+    done: int = 0,
+) -> Tuple[bool, int]:
+    """One claim → chaos → evaluate → journal → release pass over every
+    pending task, as ``owner``.
+
+    The one task body of the sweep: :func:`run_worker` loops it, and the
+    coordinator drains with it in serial mode or after its pool degraded
+    (process-killing chaos is fenced off there by ``coordinator_pid``).
+    Returns ``(claimed_any, done)``, ``done`` counting completed tasks on
+    from the value passed in.
+    """
+    tasks = queue.load_tasks()
+    results = queue.load_results()
+    parked = _quarantined_ids(queue.root)
+    claimed_any = False
+    for task_id in sorted(tasks):
+        if task_id in results or task_id in parked:
+            continue
+        if queue.stop_requested():
+            break
+        attempt = len(queue.load_failures().get(task_id, [])) + 1
+        if max_failures is not None and attempt > max_failures:
+            continue  # awaiting the coordinator's poison verdict
+        lease = queue.claim(task_id, owner, lease_ttl_s)
+        if lease is None:
+            continue  # someone else holds it
+        claimed_any = True
+        if lease.generation > 1:
+            # This owner just reclaimed a dead/hung owner's task — keep the
+            # post-mortem context around.
+            maybe_dump(
+                "lease-reclaim",
+                {"task": task_id, "owner": owner, "generation": lease.generation},
+            )
+        queue.heartbeat(owner, state="running", task=task_id, done=done)
+        try:
+            if chaos is not None:
+                chaos.apply(queue, task_id, attempt, lease.generation)
+            queue.complete(task_id, _evaluate(tasks[task_id].payload))
+            done += 1
+        except Exception as err:  # journal and move on — never die
+            kind = classify_error(err).__name__
+            queue.record_failure(
+                task_id, owner, attempt, kind=kind, error=str(err)
+            )
+            obs_log.warning(
+                "dse.task.failed",
+                task=task_id, attempt=attempt, kind=kind, error=str(err),
+            )
+            maybe_dump(
+                "dse-task-failure",
+                {"task": task_id, "attempt": attempt, "kind": kind},
+            )
+        finally:
+            queue.release(task_id, owner)
+    return claimed_any, done
 
 
 def _evaluate(payload: Dict[str, Any]) -> Dict[str, Any]:

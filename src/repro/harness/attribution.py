@@ -46,6 +46,8 @@ __all__ = [
     "render_markdown",
     "render_html",
     "report_main",
+    "report_from_args",
+    "add_report_arguments",
     "build_parser",
 ]
 
@@ -326,11 +328,8 @@ def render_html(sections: List[str]) -> str:
 # --------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro report",
-        description="Fig 2a-style bottleneck attribution from golden snapshots.",
-    )
+def add_report_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare every ``repro report`` flag (one declaration for both CLIs)."""
     parser.add_argument(
         "experiments", nargs="*", default=None,
         help="golden experiment ids (default: fig13)",
@@ -351,11 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=0, metavar="N",
         help="per-experiment table rows to show (0 = all workloads)",
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro report",
+        description="Fig 2a-style bottleneck attribution from golden snapshots.",
+    )
+    add_report_arguments(parser)
     return parser
 
 
 def report_main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    return report_from_args(build_parser().parse_args(argv))
+
+
+def report_from_args(args: argparse.Namespace) -> int:
+    """Write the report for the parsed flags (see :func:`report_main`)."""
     experiments = args.experiments or ["fig13"]
     goldens_dir = pathlib.Path(args.goldens)
     sections: List[str] = []

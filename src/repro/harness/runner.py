@@ -10,9 +10,10 @@ Usage::
 Each experiment module exposes ``run(quick=False) -> ExperimentResult``; the
 registry below is the complete per-experiment index from DESIGN.md.
 
-``--jobs N`` runs experiments in a ``ProcessPoolExecutor``; results are
-collected and printed in submission order, so the report is byte-identical
-to a serial run (each experiment is deterministic and self-contained).
+Every run goes through the :mod:`repro.resilience` supervisor, serial or
+``--jobs N`` (a supervised ``ProcessPoolExecutor``); results are collected
+and printed in submission order, so the report is byte-identical either
+way (each experiment is deterministic and self-contained).
 
 ``--trace [PATH]`` enables the :mod:`repro.trace` instrumentation for the
 run: a Chrome ``trace_event`` JSON lands at PATH (default ``trace.json``)
@@ -36,10 +37,13 @@ Resilience (see :mod:`repro.resilience`): ``--checkpoint`` journals each
 completed experiment to ``results/<run_id>/checkpoint.jsonl`` and
 ``--resume RUN_ID`` skips the journaled work of a crashed sweep (the
 reconstructed report is bit-identical; the hit count prints to stderr).
-``--jobs N`` runs are *supervised*: ``--task-timeout`` bounds each
-experiment's wall clock, ``--max-retries`` retries transient faults with
-seeded exponential backoff, crashed pools are respawned (degrading to
-serial execution if they keep dying), and ``--inject-faults SPEC``
+Every run is *supervised*: transient faults retry with seeded
+exponential backoff (``--max-retries``, default 2), an experiment that
+fails does not stop the others (each failure prints one ``error:`` line,
+then a summary line, and the run exits 1), ``--task-timeout`` bounds each
+experiment's wall clock under ``--jobs``, crashed pools are respawned
+(degrading to serial execution if they keep dying), ``--status-file``
+publishes live progress for ``repro top``, and ``--inject-faults SPEC``
 deterministically manufactures crashes/hangs/flaky failures plus DRAM/
 SRAM misbehaviour so every recovery path is testable.  ``Ctrl-C``
 cancels pending work, flushes the journal and exits 130; ``SIGTERM``
@@ -219,8 +223,8 @@ def _run_with_telemetry(
     resetting them here is safe and gives each experiment a clean window.
 
     ``traceparent`` (a W3C header string, threaded through the supervisor
-    payload under ``--jobs``) carries the task's trace context across the
-    process boundary; the experiment span adopts it, so every task yields
+    payload) carries the task's trace context across the process boundary
+    under ``--jobs``; the experiment span adopts it, so every task yields
     exactly one connected span tree in the merged Chrome export.
     """
     if os.environ.get("REPRO_STORE_DIR"):
@@ -287,8 +291,8 @@ def _run_with_telemetry(
     registry.clear()
     trace.get_tracer().clear()
     trace.enable()
-    # The task's root context: received from the supervisor under --jobs,
-    # freshly minted for serial runs.  The experiment span adopts it.
+    # The task's root context, minted by the supervising process (fresh
+    # when called without one).  The experiment span adopts it.
     root_ctx = (
         trace_context.TraceContext.from_traceparent(traceparent)
         or trace_context.TraceContext.new()
@@ -327,33 +331,23 @@ def run_many_telemetry(
 ) -> Tuple[List[ExperimentResult], RunTelemetry]:
     """Like :func:`run_many`, but also collect :class:`RunTelemetry`.
 
-    ``jobs > 1`` fans out through the :mod:`repro.resilience` supervisor
-    with the default policy (no timeout, transient retries on); the first
-    unrecoverable failure raises, matching the serial path's fail-loud
-    contract.
+    Runs under the :mod:`repro.resilience` supervisor with the default
+    policy (no timeout, transient retries on); the first unrecoverable
+    failure raises.
     """
-    if jobs <= 1:
-        pairs = [
-            _run_with_telemetry(eid, quick, tracing, profiling, audit_level)
-            for eid in ids
-        ]
-    else:
-        from ..resilience.supervisor import RetryPolicy
-
-        by_id, report = _run_supervised(
-            ids, quick=quick, tracing=tracing, profiling=profiling,
-            jobs=jobs, policy=RetryPolicy(), audit_level=audit_level,
-        )
-        if report.failures:
-            first = report.failures[0]
-            raise PermanentFault(
-                f"experiment {first.key} failed [{first.fault}] after "
-                f"{first.attempts} attempt(s): {first.message}"
-            )
-        pairs = [by_id[eid] for eid in ids]
-    results = [result for result, _ in pairs]
-    telemetry = RunTelemetry.merge(part for _, part in pairs)
+    results, telemetry, report = _run_supervised(
+        ids, quick, jobs, tracing, profiling, audit_level
+    )
+    if report.failures:
+        raise PermanentFault(_failure_message(report.failures[0]))
     return results, telemetry
+
+
+def _failure_message(failure: Any) -> str:
+    return (
+        f"experiment {failure.key} failed [{failure.fault}] after "
+        f"{failure.attempts} attempt(s): {failure.message}"
+    )
 
 
 def _supervised_task(
@@ -364,17 +358,15 @@ def _supervised_task(
     """One supervised unit of work (runs in a pool worker, or serially).
 
     ``payload`` carries ``(experiment_id, quick, tracing, profiling,
-    fault_spec, audit_level, supervisor_pid[, traceparent])``.  The
-    optional eighth element is the task's W3C trace context, minted in the
-    supervising process so a ``--jobs N`` trace reassembles into one
-    connected tree per task.  Process-level injected faults (crash/hang)
-    only fire when this is *not* the supervising process, so the
-    degraded-serial fallback can never be taken down by its own injection.
+    fault_spec, audit_level, supervisor_pid, traceparent)``.  The
+    traceparent is the task's W3C trace context, minted in the supervising
+    process so a ``--jobs N`` trace reassembles into one connected tree per
+    task.  Process-level injected faults (crash/hang) only fire when this
+    is *not* the supervising process, so serial runs and the degraded-serial
+    fallback can never be taken down by their own injection.
     """
-    eid, quick, tracing, profiling, fault_spec, audit_level, supervisor_pid = (
-        payload[:7]
-    )
-    traceparent = payload[7] if len(payload) > 7 else None
+    (eid, quick, tracing, profiling, fault_spec, audit_level, supervisor_pid,
+     traceparent) = payload
     if fault_spec is None:
         return _run_with_telemetry(
             eid, quick, tracing, profiling, audit_level, traceparent
@@ -394,32 +386,105 @@ def _supervised_task(
         faults.deactivate()
 
 
+class _Checkpoint:
+    """The ``--checkpoint``/``--resume`` journal of one run.
+
+    ``restored`` holds the results a ``--resume`` found journaled under a
+    still-matching config fingerprint; :meth:`on_result` is the
+    supervisor callback that journals every newly completed experiment.
+    """
+
+    def __init__(
+        self, args: argparse.Namespace, ids: List[str], run_id: str,
+        plan: Optional[Any],
+    ) -> None:
+        from ..resilience.checkpoint import (
+            CheckpointJournal,
+            journal_path,
+            load_resume_state,
+            task_fingerprint,
+        )
+
+        self.plan = plan
+        self.fingerprints = {eid: task_fingerprint(eid, args.quick) for eid in ids}
+        self.journal = CheckpointJournal(journal_path(args.results_dir, run_id))
+        self.restored: Dict[str, ExperimentResult] = {}
+        self.corrupt_skipped = 0
+        if args.resume is None:
+            return
+        state = load_resume_state(self.journal.path)
+        self.corrupt_skipped = state.corrupt
+        for eid in ids:
+            restored = state.hit(eid, self.fingerprints[eid])
+            if restored is not None:
+                self.restored[eid] = restored
+        line = (
+            f"resume {run_id}: {len(self.restored)} checkpoint hit(s), "
+            f"{len(ids) - len(self.restored)} experiment(s) to run"
+        )
+        if self.corrupt_skipped:
+            line += f", {self.corrupt_skipped} corrupt record(s) skipped"
+        print(line, file=sys.stderr)
+
+    def on_result(self, task: Any, value: Tuple[ExperimentResult, RunTelemetry]) -> None:
+        from ..resilience.checkpoint import result_to_record
+
+        corrupt = self.plan is not None and self.plan.should_corrupt_checkpoint(
+            task.index
+        )
+        self.journal.append(
+            result_to_record(task.key, self.fingerprints[task.key], value[0]),
+            corrupt=corrupt,
+        )
+
+    def info(self) -> Dict[str, Any]:
+        """The manifest's ``extra.checkpoint`` block."""
+        return {
+            "path": str(self.journal.path),
+            "hits": len(self.restored),
+            "appended": self.journal.appended,
+            "corrupt_skipped": self.corrupt_skipped,
+        }
+
+
 def _run_supervised(
     ids: List[str],
     quick: bool,
-    tracing: bool,
-    profiling: bool,
-    jobs: int,
-    policy: Any,
-    fault_spec: Optional[str] = None,
+    jobs: int = 1,
+    tracing: bool = False,
+    profiling: bool = False,
     audit_level: str = "off",
-    on_result: Optional[Callable[[Any, Any], None]] = None,
+    policy: Optional[Any] = None,
+    fault_spec: Optional[str] = None,
+    checkpoint: Optional[_Checkpoint] = None,
 ):
-    """Run ``ids`` under the resilience supervisor.
+    """Run ``ids`` as supervisor tasks: the one task loop behind every run.
 
-    Returns ``({experiment_id: (result, telemetry)}, SupervisorReport)``;
-    results cover every task that succeeded (possibly after retries), the
-    report carries the failures and the error budget.
+    ``jobs == 1`` runs in this process, ``jobs > 1`` in a supervised
+    process pool; both retry transient faults on ``policy`` (default
+    :class:`~repro.resilience.supervisor.RetryPolicy`).  Experiments that
+    ``checkpoint`` restored are skipped; the rest are journaled to it as
+    they complete.
+
+    Returns ``(results, telemetry, report)``: ``results`` in ``ids`` order,
+    or ``None`` (with empty telemetry) when any experiment ultimately
+    failed, and the :class:`~repro.resilience.supervisor.SupervisorReport`
+    with the failures and the error budget.  ``KeyboardInterrupt``
+    propagates with every already-journaled record fsynced.
     """
-    from ..resilience.supervisor import Supervisor, TaskSpec
-    from ..trace import context as trace_context
+    from ..resilience.supervisor import RetryPolicy, Supervisor, TaskSpec
+
+    restored = checkpoint.restored if checkpoint is not None else {}
+    pending = [eid for eid in ids if eid not in restored]
 
     def _task_traceparent() -> Optional[str]:
         # One root context per task, minted here in the supervising process;
-        # the worker's experiment span adopts it (same ids on every retry,
-        # so a retried task still forms a single tree).
+        # the experiment span adopts it (same ids on every retry, so a
+        # retried task still forms a single tree).
         if not tracing:
             return None
+        from ..trace import context as trace_context
+
         return trace_context.TraceContext.new().to_traceparent()
 
     tasks = [
@@ -430,147 +495,20 @@ def _run_supervised(
                 os.getpid(), _task_traceparent(),
             ),
         )
-        for i, eid in enumerate(ids)
+        for i, eid in enumerate(pending)
     ]
-    supervisor = Supervisor(
-        _supervised_task, jobs=jobs, policy=policy, on_result=on_result
-    )
-    report = supervisor.run(tasks)
+    report = Supervisor(
+        _supervised_task, jobs=jobs, policy=policy or RetryPolicy(),
+        on_result=checkpoint.on_result if checkpoint is not None else None,
+    ).run(tasks)
+    if report.failures:
+        return None, RunTelemetry(), report
     by_id = {tasks[index].key: value for index, value in report.results.items()}
-    return by_id, report
-
-
-def _resilient_run(
-    args: argparse.Namespace,
-    ids: List[str],
-    tracing: bool,
-    run_id: str,
-    plan: Optional[Any],
-):
-    """The checkpoint-aware, supervised execution path behind the
-    resilience flags.
-
-    Returns ``(results, telemetry, task_failures, budget, checkpoint_info)``.
-    ``results`` is ``None`` when any experiment ultimately failed —
-    ``task_failures`` then carries one :class:`~repro.resilience.supervisor.
-    TaskFailure` per casualty.  ``checkpoint_info`` is the manifest block
-    (path / hits / appended / corrupt_skipped) or ``None`` when the run is
-    not journaling.  ``KeyboardInterrupt`` propagates to the caller with
-    every already-journaled record safely fsynced.
-    """
-    from ..errors import TransientFault
-    from ..resilience.checkpoint import (
-        CheckpointJournal,
-        journal_path,
-        load_resume_state,
-        result_to_record,
-        task_fingerprint,
-    )
-    from ..resilience.supervisor import RetryPolicy
-
-    checkpointing = args.checkpoint or args.resume is not None
-    policy = RetryPolicy(
-        max_retries=args.max_retries if args.max_retries is not None else 2,
-        timeout_s=args.task_timeout,
-        seed=plan.seed if plan is not None else 0,
-    )
-    jpath = journal_path(args.results_dir, run_id)
-    fingerprints = {eid: task_fingerprint(eid, args.quick) for eid in ids}
-    completed: Dict[str, ExperimentResult] = {}
-    hits = 0
-    corrupt_skipped = 0
-    if args.resume is not None:
-        state = load_resume_state(jpath)
-        corrupt_skipped = state.corrupt
-        for eid in ids:
-            restored = state.hit(eid, fingerprints[eid])
-            if restored is not None:
-                completed[eid] = restored
-        hits = len(completed)
-        line = (
-            f"resume {run_id}: {hits} checkpoint hit(s), "
-            f"{len(ids) - hits} experiment(s) to run"
-        )
-        if corrupt_skipped:
-            line += f", {corrupt_skipped} corrupt record(s) skipped"
-        print(line, file=sys.stderr)
-    pending = [eid for eid in ids if eid not in completed]
-    journal = CheckpointJournal(jpath) if checkpointing else None
-    obs_log.info(
-        "run.resilience",
-        run_id=run_id, checkpoint=checkpointing, resume=args.resume,
-        hits=hits, pending=len(pending), timeout_s=policy.timeout_s,
-        max_retries=policy.max_retries,
-        faults=plan.spec if plan is not None else None,
-    )
-
-    def journal_result(index: int, eid: str, result: ExperimentResult) -> None:
-        if journal is None:
-            return
-        corrupt = plan is not None and plan.should_corrupt_checkpoint(index)
-        journal.append(
-            result_to_record(eid, fingerprints[eid], result), corrupt=corrupt
-        )
-
-    telemetry_parts: Dict[str, RunTelemetry] = {}
-    failures: List[Any] = []
-    budget = None
-    if pending and args.jobs > 1:
-        def on_result(task, value):
-            journal_result(task.index, task.key, value[0])
-
-        by_id, report = _run_supervised(
-            pending, quick=args.quick, tracing=tracing, profiling=args.profile,
-            jobs=args.jobs, policy=policy, fault_spec=args.inject_faults,
-            audit_level=args.audit, on_result=on_result,
-        )
-        failures = list(report.failures)
-        budget = report.budget
-        for eid, (result, part) in by_id.items():
-            completed[eid] = result
-            telemetry_parts[eid] = part
-    elif pending:
-        # Serial, but still journaled and fault-injectable: transient
-        # faults retry with the same deterministic backoff schedule.
-        for index, eid in enumerate(pending):
-            payload = (
-                eid, args.quick, tracing, args.profile,
-                args.inject_faults, args.audit, os.getpid(),
-            )
-            attempt = 1
-            while True:
-                try:
-                    result, part = _supervised_task(payload, index, attempt)
-                    break
-                except TransientFault as err:
-                    if attempt > policy.max_retries:
-                        raise
-                    obs_log.warning(
-                        "supervisor.retry",
-                        task=eid, index=index, attempt=attempt,
-                        fault=type(err).__name__, error=str(err),
-                    )
-                    time.sleep(policy.backoff_s(index, attempt + 1))
-                    attempt += 1
-            completed[eid] = result
-            telemetry_parts[eid] = part
-            journal_result(index, eid, result)
-
-    checkpoint_info = None
-    if checkpointing:
-        checkpoint_info = {
-            "path": str(jpath),
-            "hits": hits,
-            "appended": journal.appended if journal is not None else 0,
-            "corrupt_skipped": corrupt_skipped,
-        }
-    if failures:
-        return None, RunTelemetry(), failures, budget, checkpoint_info
-    results = [completed[eid] for eid in ids]
-    telemetry = RunTelemetry.merge(
-        telemetry_parts[eid] for eid in ids if eid in telemetry_parts
-    )
-    return results, telemetry, failures, budget, checkpoint_info
+    results = [
+        restored[eid] if eid in restored else by_id[eid][0] for eid in ids
+    ]
+    telemetry = RunTelemetry.merge(by_id[eid][1] for eid in pending)
+    return results, telemetry, report
 
 
 def harness_metrics(
@@ -671,13 +609,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(f"error: {err}", file=sys.stderr)
             return 2
         os.environ["REPRO_STORE_DIR"] = store_dir
-    resilient = (
-        args.checkpoint
-        or args.resume is not None
-        or args.task_timeout is not None
-        or args.max_retries is not None
-        or args.inject_faults is not None
-    )
     plan = None
     if args.inject_faults is not None:
         from ..resilience.faults import FaultPlan
@@ -746,43 +677,54 @@ def run_from_args(args: argparse.Namespace) -> int:
     results: List[ExperimentResult] = []
     telemetry = RunTelemetry()
     budget = None
-    checkpoint_info = None
+    checkpoint = None
     try:
         try:
-            if resilient:
-                resilient_results, telemetry, task_failures, budget, checkpoint_info = (
-                    _resilient_run(args, ids, tracing, run_id, plan)
+            from ..resilience.supervisor import RetryPolicy
+
+            # Absent flags keep the RetryPolicy defaults.
+            policy = RetryPolicy(
+                timeout_s=args.task_timeout,
+                seed=plan.seed if plan is not None else 0,
+            )
+            if args.max_retries is not None:
+                policy = dataclasses.replace(policy, max_retries=args.max_retries)
+            if args.checkpoint or args.resume is not None:
+                checkpoint = _Checkpoint(args, ids, run_id, plan)
+            obs_log.info(
+                "run.resilience",
+                run_id=run_id, checkpoint=checkpoint is not None,
+                resume=args.resume,
+                hits=len(checkpoint.restored) if checkpoint is not None else 0,
+                timeout_s=policy.timeout_s, max_retries=policy.max_retries,
+                faults=plan.spec if plan is not None else None,
+            )
+            run_results, telemetry, report = _run_supervised(
+                ids, args.quick, args.jobs, tracing, args.profile, args.audit,
+                policy, args.inject_faults, checkpoint,
+            )
+            budget = report.budget
+            if report.failures:
+                failures = len(report.failures)
+                audit_fault_failures = sum(
+                    1 for f in report.failures if f.fault == "AuditFault"
                 )
-                if task_failures:
-                    failures = len(task_failures)
-                    audit_fault_failures = sum(
-                        1 for f in task_failures if f.fault == "AuditFault"
-                    )
-                    exit_code = 1
-                    for failure in task_failures:
-                        print(
-                            f"error: experiment {failure.key} failed "
-                            f"[{failure.fault}] after {failure.attempts} "
-                            f"attempt(s): {failure.message}",
-                            file=sys.stderr,
-                        )
-                else:
-                    results = resilient_results
+                exit_code = 1
+                for failure in report.failures:
+                    print(f"error: {_failure_message(failure)}", file=sys.stderr)
+                print(
+                    f"error: experiment run failed: {failures} of {len(ids)} "
+                    "experiment(s) failed",
+                    file=sys.stderr,
+                )
             else:
-                results, telemetry = run_many_telemetry(
-                    ids,
-                    quick=args.quick,
-                    jobs=args.jobs,
-                    tracing=tracing,
-                    profiling=args.profile,
-                    audit_level=args.audit,
-                )
+                results = run_results
         except KeyboardInterrupt as interrupt:
             terminated = isinstance(interrupt, _Terminated)
             exit_code = 143 if terminated else 130
             word = "terminated" if terminated else "interrupted"
             obs_log.error("run.terminated" if terminated else "run.interrupted")
-            if args.checkpoint or args.resume is not None:
+            if checkpoint is not None:
                 print(
                     f"{word}: completed work is journaled; "
                     f"rerun with --resume {run_id}",
@@ -790,18 +732,9 @@ def run_from_args(args: argparse.Namespace) -> int:
                 )
             else:
                 print(word, file=sys.stderr)
-        except Exception as err:  # an experiment raised: fail the run loudly
-            failures += 1
-            if isinstance(err, AuditFault):
-                audit_fault_failures += 1
+        except Exception as err:  # the run itself broke (e.g. journal I/O)
             exit_code = 1
-            obs_log.error("run.experiment_error", error=repr(err))
-            from ..obs.flight.recorder import maybe_dump
-
-            maybe_dump(
-                "audit-fault" if isinstance(err, AuditFault) else "exception",
-                {"error": repr(err)},
-            )
+            obs_log.error("run.error", error=repr(err))
             print(f"error: experiment run failed: {err!r}", file=sys.stderr)
         for result in results:
             obs_log.console(result.render())
@@ -879,8 +812,8 @@ def run_from_args(args: argparse.Namespace) -> int:
 
             if budget is not None:
                 run_ctx.manifest.extra["error_budget"] = budget.to_dict()
-            if checkpoint_info is not None:
-                run_ctx.manifest.extra["checkpoint"] = checkpoint_info
+            if checkpoint is not None:
+                run_ctx.manifest.extra["checkpoint"] = checkpoint.info()
             if args.audit != "off":
                 run_ctx.manifest.extra["audit"] = telemetry.audit
             manifest = run_ctx.finish(exit_code)

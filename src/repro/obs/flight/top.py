@@ -24,11 +24,12 @@ import argparse
 import json
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import List, Optional
 
-__all__ = ["render_status", "read_status", "top_main"]
+__all__ = [
+    "render_status", "read_status", "add_top_arguments", "build_parser",
+    "top_main", "top_from_args",
+]
 
 
 def read_status(
@@ -43,6 +44,9 @@ def read_status(
             raise RuntimeError(f"cannot read status file {status_file}: {exc}") from exc
         source = status_file
     elif url is not None:
+        import urllib.error
+        import urllib.request
+
         target = url.rstrip("/") + "/statusz"
         try:
             with urllib.request.urlopen(target, timeout=timeout) as response:
@@ -186,33 +190,45 @@ def _loop_curses(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro top", description="Live ops console for repro runs and serve."
-    )
+def add_top_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare every ``repro top`` flag (one declaration for both CLIs)."""
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
-        "--status-file", help="beacon status file written by a runner/supervisor"
+        "--status-file", metavar="PATH",
+        help="beacon status file written by a runner/supervisor",
     )
     source.add_argument(
-        "--url", help="base URL of a repro serve daemon (reads /statusz)"
+        "--url", metavar="URL",
+        help="base URL of a repro serve daemon (reads /statusz)",
     )
     parser.add_argument(
         "--once", action="store_true", help="print one frame and exit (CI smoke)"
     )
     parser.add_argument(
-        "--interval", type=float, default=1.0, help="refresh period in seconds"
+        "--interval", type=float, default=1.0, metavar="S",
+        help="refresh period in seconds",
     )
     parser.add_argument(
         "--plain",
         action="store_true",
         help="reprint frames instead of a curses screen (default off-tty)",
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro top", description="Live ops console for repro runs and serve."
+    )
+    add_top_arguments(parser)
     return parser
 
 
 def top_main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    return top_from_args(build_parser().parse_args(argv))
+
+
+def top_from_args(args: argparse.Namespace) -> int:
+    """Run the console under the parsed flags (see :func:`top_main`)."""
     if args.once:
         try:
             print(render_status(read_status(args.status_file, args.url)))

@@ -41,12 +41,7 @@ import signal
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    AuditFault,
-    PermanentFault,
-    TransientFault,
-    classify_error,
-)
+from ..errors import TransientFault, classify_error
 from ..obs import log as obs_log
 
 __all__ = [
@@ -270,12 +265,12 @@ class Supervisor:
             else:
                 succeed(task, attempt, value)
 
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
         if self.jobs > 1:
+            # Only pooled runs pay for importing multiprocessing.
+            from concurrent.futures import FIRST_COMPLETED, wait
+            from concurrent.futures.process import BrokenProcessPool
+
             self._pool = self._new_pool()
-        degraded = self._pool is None and self.jobs > 1
 
         try:
             while ready or delayed or outstanding:
@@ -394,7 +389,6 @@ class Supervisor:
                          "requeued": len(ready)},
                     )
                     if consecutive_deaths > self.policy.max_pool_respawns:
-                        degraded = True
                         budget.degraded_serial = True
                         obs_log.error(
                             "supervisor.degraded_serial",
@@ -418,8 +412,6 @@ class Supervisor:
                 self._pool.shutdown(wait=True)
                 self._pool = None
 
-        if degraded:
-            budget.degraded_serial = True
         beacon.update(queue_depth=0)
         beacon.maybe_write(min_interval=0.0)  # final state, not rate-limited
         return SupervisorReport(results=results, failures=failures, budget=budget)

@@ -128,6 +128,8 @@ __all__ = [
     "http_request_retry",
     "result_payload",
     "serve_main",
+    "serve_from_args",
+    "add_serve_arguments",
     "build_parser",
 ]
 
@@ -1512,11 +1514,12 @@ async def http_request_retry(
 # ----------------------------------------------------------------- CLI entry
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve conv-timing queries over HTTP/JSON (stdlib asyncio).",
-    )
+def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare every serve flag but ``--log-file``.
+
+    The one declaration behind ``repro serve`` (whose shared observability
+    options supply ``--log-file``) and :func:`build_parser`.
+    """
     defaults = ServeConfig()
     parser.add_argument("--host", default=defaults.host)
     parser.add_argument("--port", type=int, default=defaults.port,
@@ -1540,7 +1543,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "header arrives")
     parser.add_argument("--breaker-threshold", type=int,
                         default=defaults.breaker_threshold,
-                        help="failures that trip a spec fingerprint's breaker")
+                        help="failures that trip a spec fingerprint's circuit "
+                             "breaker (fast 422 afterwards)")
     parser.add_argument("--breaker-cooldown", type=float,
                         default=defaults.breaker_cooldown_s, metavar="S",
                         help="seconds an open breaker refuses before half-opening")
@@ -1556,10 +1560,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--inject-faults", default=None, metavar="SPEC",
                         help="seeded chaos plan, e.g. 'serve=conn-reset,"
                              "worker-crash,rate=0.05,seed=7,poison=hostile'")
-    parser.add_argument("--run-id", default=None,
+    parser.add_argument("--run-id", default=None, metavar="RUN_ID",
                         help="run id stamped on responses/logs (default: generated)")
-    parser.add_argument("--log-file", default=None, metavar="PATH",
-                        help="append JSONL log events (with run/trace ids) here")
     parser.add_argument("--trace", default=None, metavar="PATH", nargs="?",
                         const="serve-trace.json",
                         help="record request span trees; Chrome export written "
@@ -1572,6 +1574,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--flight", default=None, metavar="DIR",
                         help="enable the flight recorder; dumps land in DIR "
                              "on faults or SIGUSR1")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro serve",
+        description="Serve conv-timing queries over HTTP/JSON (stdlib asyncio).",
+    )
+    add_serve_arguments(parser)
+    parser.add_argument("--log-file", default=None, metavar="PATH",
+                        help="append JSONL log events (with run/trace ids) here")
     return parser
 
 
@@ -1675,7 +1687,11 @@ async def run_server(
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
     """Run the daemon until SIGINT/SIGTERM, then drain gracefully."""
-    args = build_parser().parse_args(argv)
+    return serve_from_args(build_parser().parse_args(argv))
+
+
+def serve_from_args(args: argparse.Namespace) -> int:
+    """Run the daemon under the parsed serve flags (see :func:`serve_main`)."""
     config = _config_from_args(args)
     from ..obs.manifest import new_run_id
 

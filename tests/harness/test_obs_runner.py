@@ -39,15 +39,23 @@ def test_audit_failure_exits_nonzero(monkeypatch, tmp_path, capsys):
         dma_cycles=60.0, exposed_dma_cycles=55.0, macs=1000, utilization=0.5,
     )
 
-    def fake_run_many_telemetry(
-        ids, quick=False, jobs=1, tracing=False, profiling=False,
-        audit_level="off",
-    ):
-        return [], RunTelemetry(layers=[corrupt])
+    def fake_run_supervised(*args, **kwargs):
+        from repro.resilience.supervisor import ErrorBudget, SupervisorReport
 
-    monkeypatch.setattr(runner, "run_many_telemetry", fake_run_many_telemetry)
+        report = SupervisorReport(results={}, failures=[], budget=ErrorBudget())
+        return [], RunTelemetry(layers=[corrupt]), report
+
+    monkeypatch.setattr(runner, "_run_supervised", fake_run_supervised)
     assert main(["table2", "--trace", str(tmp_path / "trace.json")]) == 1
     assert "cycle-accounting audit failed" in capsys.readouterr().err
+
+
+def test_serial_run_publishes_its_status(tmp_path, capsys):
+    status = tmp_path / "status.json"
+    assert main(["table2", "--quick", "--status-file", str(status)]) == 0
+    capsys.readouterr()
+    tasks = json.loads(status.read_text())["tasks"]
+    assert tasks["total"] == tasks["done"] == 1
 
 
 def test_failure_is_stamped_into_manifest(monkeypatch, tmp_path, capsys):

@@ -99,10 +99,11 @@ def test_serial_flaky_exhaustion_fails_the_run(tmp_path, capsys):
     assert "experiment run failed" in err
 
 
-def test_supervised_fatal_fault_reports_and_exits_nonzero(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_supervised_fatal_fault_reports_and_exits_nonzero(tmp_path, capsys, jobs):
     code, out, err = _run(
         capsys,
-        ["table2", "fig2", "--quick", "--jobs", "2",
+        ["table2", "fig2", "--quick", "--jobs", jobs,
          "--results-dir", str(tmp_path), "--inject-faults", "fatal@0"],
     )
     assert code == 1
