@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -158,8 +159,7 @@ def render_status(doc: dict, now: Optional[float] = None) -> str:
 def _loop_plain(args) -> int:
     while True:
         frame = render_status(read_status(args.status_file, args.url))
-        print(frame)
-        print()
+        print(frame + "\n", flush=True)
         time.sleep(args.interval)
 
 
@@ -229,14 +229,10 @@ def top_main(argv: Optional[List[str]] = None) -> int:
 
 def top_from_args(args: argparse.Namespace) -> int:
     """Run the console under the parsed flags (see :func:`top_main`)."""
-    if args.once:
-        try:
-            print(render_status(read_status(args.status_file, args.url)))
-        except RuntimeError as exc:
-            print(f"repro top: {exc}", file=sys.stderr)
-            return 1
-        return 0
     try:
+        if args.once:
+            print(render_status(read_status(args.status_file, args.url)), flush=True)
+            return 0
         if args.plain or not sys.stdout.isatty():
             return _loop_plain(args)
         try:
@@ -244,6 +240,15 @@ def top_from_args(args: argparse.Namespace) -> int:
         except ImportError:
             return _loop_plain(args)
     except KeyboardInterrupt:
+        return 0
+    except BrokenPipeError:
+        # The reader went away (``repro top ... | head``): that ends the
+        # console.  Point stdout at devnull so the exit-time flush of what
+        # is still buffered cannot raise again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
         return 0
     except RuntimeError as exc:
         print(f"repro top: {exc}", file=sys.stderr)

@@ -19,7 +19,8 @@ Request handling is built for fleets of duplicate queries:
   every ``batch_window_s`` (or when ``max_batch`` accumulate) and grouped
   by hardware config into single :meth:`TPUSim.simulate_conv_batch`
   calls, so the batched schedule engine amortizes pricing exactly as the
-  harness does;
+  harness does — the service's only engine call: the ``serial`` rung
+  and a failed batch's replay send groups of one through it;
 - **load shedding**: admission consults the service's
   :class:`~repro.resilience.supervisor.ErrorBudget` — when the pending
   backlog exceeds the configured budget the query is refused with HTTP
@@ -27,7 +28,8 @@ Request handling is built for fleets of duplicate queries:
   growing the queue without bound;
 - **graceful drain**: shutdown stops admitting (503 + ``Retry-After``),
   finishes every in-flight simulation, and answers the clients that were
-  already queued.
+  already queued.  Every refusal is answered from one table of statuses
+  and ``Retry-After`` values (``_REFUSALS``).
 
 And for everything the fault injector can throw at it (DESIGN.md §4l):
 
@@ -59,7 +61,8 @@ And for everything the fault injector can throw at it (DESIGN.md §4l):
   workers behind a supervising parent that owns the listener socket
   (:mod:`repro.store.workers`): heartbeat liveness, seeded
   exponential-backoff respawn, crash-budget degradation to a single
-  worker rather than death.
+  worker rather than death.  The daemon, each worker and the supervisor
+  are set up by one function, :func:`bootstrap`.
 
 Endpoints: ``GET /healthz`` (liveness: the process is up), ``GET
 /readyz`` (readiness: 503 while draining or degraded past ``serial``),
@@ -155,6 +158,15 @@ CONFIG_FIELDS = frozenset(
 LADDER_RUNGS = ("full", "serial", "store-only", "drain")
 RUNG_FULL, RUNG_SERIAL, RUNG_STORE_ONLY, RUNG_DRAIN = range(4)
 
+#: Request samples the SLO watchdog evaluates over (sliding window).
+SLO_WINDOW = 128
+#: Seconds between SLO watchdog evaluations.
+SLO_INTERVAL_S = 1.0
+#: ``Retry-After`` seconds suggested on 429 sheds and 504 deadlines.
+RETRY_AFTER_SHED_S = 1.0
+#: ``Retry-After`` seconds suggested on 503 drain/degraded refusals.
+RETRY_AFTER_DRAIN_S = 5.0
+
 
 class BadRequest(ValueError):
     """The request body cannot be turned into a simulation query."""
@@ -178,6 +190,20 @@ class ProtocolError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+#: Refusal -> HTTP status, ``Retry-After`` seconds (``None``: the breaker
+#: verdict's) and the counter an admission refusal bumps.  The two 504s
+#: (a blown deadline, a shared computation cancelled) are charged on release.
+_REFUSALS = {
+    Draining: (503, RETRY_AFTER_DRAIN_S, None),
+    StoreOnlyMiss: (503, RETRY_AFTER_DRAIN_S, "repro_serve_store_only_miss_total"),
+    LoadShed: (429, RETRY_AFTER_SHED_S, "repro_serve_shed_total"),
+    BreakerOpen: (422, None, "repro_serve_breaker_fastfail_total"),
+    asyncio.TimeoutError: (504, RETRY_AFTER_SHED_S, None),
+    asyncio.CancelledError: (504, RETRY_AFTER_SHED_S, None),
+}
+_ADMISSION_REFUSALS = (Draining, StoreOnlyMiss, LoadShed, BreakerOpen)
 
 
 @dataclasses.dataclass
@@ -214,20 +240,12 @@ class ServeConfig:
     slo_p99_ms: float = 5_000.0
     #: SLO watchdog: error ratio above which the ladder escalates.
     slo_error_ratio: float = 0.5
-    #: Request samples the watchdog evaluates over (sliding window).
-    slo_window: int = 128
     #: Samples required before the watchdog acts at all.
     slo_min_samples: int = 16
-    #: Seconds between watchdog evaluations.
-    slo_interval_s: float = 1.0
     #: Clean seconds on a degraded rung before stepping back down.
     slo_recovery_s: float = 10.0
     #: Run the SLO watchdog task (tests drive ``set_rung`` directly).
     watchdog: bool = True
-    #: ``Retry-After`` seconds suggested on 429 load sheds.
-    retry_after_shed_s: float = 1.0
-    #: ``Retry-After`` seconds suggested on 503 drain/degraded refusals.
-    retry_after_drain_s: float = 5.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -398,9 +416,7 @@ class SimulationService:
         self._wakeup: Optional[asyncio.Event] = None
         self._batcher: Optional[asyncio.Task] = None
         self._watchdog: Optional[asyncio.Task] = None
-        self._samples: Deque[Tuple[float, float, bool]] = deque(
-            maxlen=self.config.slo_window
-        )
+        self._samples: Deque[Tuple[float, float, bool]] = deque(maxlen=SLO_WINDOW)
         self._rung_changed_at = time.monotonic()
         self.simulations = 0  # queries that reached the engine (post-dedup)
 
@@ -465,7 +481,7 @@ class SimulationService:
 
     async def _watchdog_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.config.slo_interval_s)
+            await asyncio.sleep(SLO_INTERVAL_S)
             now = time.monotonic()
             decision = slo_decision(
                 list(self._samples), self.rung, self.config, now,
@@ -482,31 +498,23 @@ class SimulationService:
 
         After the drain and breaker gates, a warm in-memory hit comes back
         as an already-resolved future; only a cold query joins an
-        in-flight twin or the batch queue.  Raises :class:`Draining` during shutdown (or on the drain rung),
-        :class:`BreakerOpen` when the spec's breaker refuses,
-        :class:`StoreOnlyMiss` on a cold spec at the store-only rung and
-        :class:`LoadShed` when the backlog exhausted the budget.
+        in-flight twin or the batch queue.  Raises :class:`Draining` during
+        shutdown (or on the drain rung), :class:`BreakerOpen` when the
+        spec's breaker refuses, :class:`StoreOnlyMiss` on a cold spec at
+        the store-only rung and :class:`LoadShed` when the backlog
+        exhausted the budget — each charged by :meth:`_refused`.
         """
         beacon = flight_beacon.get_beacon()
         beacon.requests += 1
         self.registry.inc_counter("repro_serve_requests_total")
         if self.draining or self.rung >= RUNG_DRAIN:
-            self.budget.tasks += 1
-            self.budget.failed += 1
-            self.budget.count_fault("Draining")
-            raise Draining(
-                "server is draining"
-                if self.draining
-                else "server degraded to drain"
-            )
+            raise self._refused(Draining(
+                "server is draining" if self.draining else "server degraded to drain"
+            ))
         try:
             self.breakers.admit(query.fingerprint)
-        except BreakerOpen:
-            self.budget.tasks += 1
-            self.budget.failed += 1
-            self.budget.count_fault("BreakerOpen")
-            self.registry.inc_counter("repro_serve_breaker_fastfail_total")
-            raise
+        except BreakerOpen as err:
+            raise self._refused(err)
         loop = asyncio.get_running_loop()
         store_only = self.rung >= RUNG_STORE_ONLY
         try:
@@ -529,13 +537,9 @@ class SimulationService:
             future.set_result(hit)
             return future
         if store_only:
-            self.budget.tasks += 1
-            self.budget.failed += 1
-            self.budget.count_fault("StoreOnlyMiss")
-            self.registry.inc_counter("repro_serve_store_only_miss_total")
-            raise StoreOnlyMiss(
+            raise self._refused(StoreOnlyMiss(
                 "degraded to store-only and this spec is not warm"
-            )
+            ))
         existing = self._inflight.get(query.key)
         if existing is not None:
             # Identical query already in flight: same future, no new task.
@@ -553,15 +557,11 @@ class SimulationService:
             self._waiters[query.key] = self._waiters.get(query.key, 0) + 1
             return existing
         if self.pending >= self.config.max_pending:
-            self.budget.tasks += 1
-            self.budget.failed += 1
-            self.budget.count_fault("LoadShed")
-            self.registry.inc_counter("repro_serve_shed_total")
             beacon.shed += 1
-            raise LoadShed(
+            raise self._refused(LoadShed(
                 f"pending backlog {self.pending} exhausts the budget "
                 f"({self.config.max_pending})"
-            )
+            ))
         self.budget.tasks += 1
         future = loop.create_future()
         self._inflight[query.key] = future
@@ -572,6 +572,16 @@ class SimulationService:
         if self._wakeup is not None:
             self._wakeup.set()
         return future
+
+    def _refused(self, err: Exception) -> Exception:
+        """Charge one admission refusal to the budget and its counter."""
+        self.budget.tasks += 1
+        self.budget.failed += 1
+        self.budget.count_fault(type(err).__name__)
+        counter = _REFUSALS[type(err)][2]
+        if counter is not None:
+            self.registry.inc_counter(counter)
+        return err
 
     def _admission_hit(self, query: Query, store_only: bool):
         """The finished memo hit for ``query``, or None when it is cold.
@@ -748,108 +758,89 @@ class SimulationService:
         except OSError as err:  # forensics must never take down serving
             obs_log.warning("serve.quarantine_write_failed", error=str(err))
 
-    async def _price_serially(
-        self, queries: List[Query], group_size, layout
-    ) -> None:
-        """Price one spec at a time: exact attribution, no blast radius.
-
-        Used on the ``serial`` rung and as the fallback when a *batched*
-        pricing call fails — the serial replay separates the poison spec
-        (charged to its breaker) from innocent co-batched neighbors
-        (answered normally), the same verdict discipline the DSE plane's
-        quarantine replay uses.
-        """
-        loop = asyncio.get_running_loop()
-        for query in queries:
-            sim = self._sim_for(query)
-            misses_before = SIM_CACHE.misses
-
-            def _price_one(query=query, sim=sim):
-                self._check_poison([query.spec])
-                return sim.simulate_conv(
-                    query.spec, group_size=query.group_size, layout=layout
-                )
-
-            try:
-                result = await loop.run_in_executor(None, _price_one)
-            except Exception as err:
-                self._fail(query, err)
-            else:
-                self.simulations += SIM_CACHE.misses - misses_before
-                self._settle(query, result)
-
     async def _price_batch(self, batch: List[Query]) -> None:
         # Group by (config, group_size mode, layout): one engine call each.
         groups: Dict[Tuple, List[Query]] = {}
         for query in batch:
             group = (query.key[1], query.group_size, query.layout)
             groups.setdefault(group, []).append(query)
+        for queries in groups.values():
+            if self.rung >= RUNG_SERIAL:
+                # One spec per engine call: exact attribution, no blast radius.
+                for query in queries:
+                    await self._price_group([query])
+            else:
+                await self._price_group(queries)
+            self._after_group()
+
+    async def _price_group(self, queries: List[Query]) -> None:
+        """Price queries sharing (config, group_size, layout) in one engine call.
+
+        When a call over several queries fails, each is replayed as a group
+        of one: the poison spec is charged to its breaker and innocent
+        co-batched neighbors are answered normally — the same verdict
+        discipline the DSE plane's quarantine replay uses.
+        """
+        first = queries[0]
+        sim = self._sim_for(first)
+        specs = [q.spec for q in queries]
+        started = time.perf_counter()
+        misses_before = SIM_CACHE.misses
+        # The batch span parents under the first traced query's request;
+        # other members' trace ids ride along as link args so their trees
+        # point at the shared computation.
+        parent = next((q.ctx for q in queries if q.ctx is not None), None)
+        batch_ctx = parent.child() if parent is not None else None
+        links = [
+            q.ctx.trace_id
+            for q in queries
+            if q.ctx is not None and q.ctx is not parent
+        ]
+
+        def _price():
+            # run_in_executor does not propagate contextvars: re-activate
+            # the batch node so engine spans/cache probes join its tree.
+            with trace_context.activate(batch_ctx):
+                self._check_poison(specs)
+                return sim.simulate_conv_batch(
+                    specs, group_size=first.group_size, layout=first.layout
+                )
 
         loop = asyncio.get_running_loop()
-        for (_, group_size, layout), queries in groups.items():
-            if self.rung >= RUNG_SERIAL:
-                await self._price_serially(queries, group_size, layout)
-                self._after_group()
-                continue
-            sim = self._sim_for(queries[0])
-            specs = [q.spec for q in queries]
-            started = time.perf_counter()
-            misses_before = SIM_CACHE.misses
-            # The batch span parents under the first traced query's request;
-            # other members' trace ids ride along as link args so their
-            # trees point at the shared computation.
-            parent = next((q.ctx for q in queries if q.ctx is not None), None)
-            batch_ctx = parent.child() if parent is not None else None
-            links = [
-                q.ctx.trace_id
-                for q in queries
-                if q.ctx is not None and q.ctx is not parent
-            ]
-
-            def _price(ctx=batch_ctx, sim=sim, specs=specs,
-                       group_size=group_size, layout=layout):
-                # run_in_executor does not propagate contextvars: re-activate
-                # the batch node so engine spans/cache probes join its tree.
-                with trace_context.activate(ctx):
-                    self._check_poison(specs)
-                    return sim.simulate_conv_batch(
-                        specs, group_size=group_size, layout=layout
-                    )
-
-            try:
-                if batch_ctx is not None:
-                    with trace_context.activate_root(batch_ctx):
-                        with trace.span(
-                            "serve.batch", cat="serve",
-                            queries=len(queries),
-                            linked_traces=",".join(links),
-                        ):
-                            results = await loop.run_in_executor(None, _price)
-                else:
-                    results = await loop.run_in_executor(None, _price)
-            except Exception as err:
-                # Batched pricing failed: replay serially so the culprit is
-                # charged to its breaker and innocents still get answers.
-                obs_log.warning(
-                    "serve.batch_failed_serial_replay",
-                    error=str(err), queries=len(queries),
-                )
-                await self._price_serially(queries, group_size, layout)
-                self._after_group()
-                continue
-            elapsed = time.perf_counter() - started
-            # "Simulations" = fresh engine work, not queries priced: a query
-            # answered from the memo or the persistent store is not one.
-            performed = SIM_CACHE.misses - misses_before
-            self.simulations += performed
-            self.registry.inc_counter("repro_serve_batches_total")
-            self.registry.inc_counter(
-                "repro_serve_simulations_total", float(performed)
+        try:
+            if batch_ctx is not None:
+                with trace_context.activate_root(batch_ctx):
+                    with trace.span(
+                        "serve.batch", cat="serve",
+                        queries=len(queries),
+                        linked_traces=",".join(links),
+                    ):
+                        results = await loop.run_in_executor(None, _price)
+            else:
+                results = await loop.run_in_executor(None, _price)
+        except Exception as err:
+            if len(queries) == 1:
+                self._fail(first, err)
+                return
+            obs_log.warning(
+                "serve.batch_failed_serial_replay",
+                error=str(err), queries=len(queries),
             )
-            self.registry.observe("repro_serve_batch_seconds", elapsed)
-            for query, result in zip(queries, results):
-                self._settle(query, result)
-            self._after_group()
+            for query in queries:
+                await self._price_group([query])
+            return
+        elapsed = time.perf_counter() - started
+        # "Simulations" = fresh engine work, not queries priced: a query
+        # answered from the memo or the persistent store is not one.
+        performed = SIM_CACHE.misses - misses_before
+        self.simulations += performed
+        self.registry.inc_counter("repro_serve_batches_total")
+        self.registry.inc_counter(
+            "repro_serve_simulations_total", float(performed)
+        )
+        self.registry.observe("repro_serve_batch_seconds", elapsed)
+        for query, result in zip(queries, results):
+            self._settle(query, result)
 
     def _after_group(self) -> None:
         beacon = flight_beacon.get_beacon()
@@ -1188,9 +1179,8 @@ class ReproServer:
             }
             if ready:
                 return 200, _JSON, json.dumps(doc, sort_keys=True), {}
-            retry = service.config.retry_after_drain_s
             return 503, _JSON, json.dumps(doc, sort_keys=True), {
-                "Retry-After": _retry_after(retry)
+                "Retry-After": _retry_after(RETRY_AFTER_DRAIN_S)
             }
         if method == "GET" and path == "/statusz":
             return 200, _JSON, json.dumps(self.statusz(), sort_keys=True), {}
@@ -1266,7 +1256,6 @@ class ReproServer:
         batch: bool,
         ctx: Optional[trace_context.TraceContext] = None,
     ) -> Tuple[int, str, str, Dict[str, str]]:
-        config = self.service.config
         try:
             payload = json.loads(body.decode("utf-8")) if body else None
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
@@ -1290,74 +1279,32 @@ class ReproServer:
             dataclasses.replace(q, ctx=ctx, deadline_at=deadline_at)
             for q in queries
         ]
-        submitted: List[Query] = []
+        futures = []
         try:
-            futures = []
             for query in queries:
                 futures.append(self.service.submit(query))
-                submitted.append(query)
-        except Draining as err:
-            for query in submitted:
+        except _ADMISSION_REFUSALS as err:
+            for query in queries[: len(futures)]:
                 self.service.release(query)
-            retry = config.retry_after_drain_s
-            return 503, _JSON, json.dumps(
-                self._error_body(str(err), retry_after_ms=int(retry * 1000))
-            ), {"Retry-After": _retry_after(retry)}
-        except StoreOnlyMiss as err:
-            for query in submitted:
-                self.service.release(query)
-            retry = config.retry_after_drain_s
-            return 503, _JSON, json.dumps(
-                self._error_body(
-                    str(err), rung=self.service.rung_name,
-                    retry_after_ms=int(retry * 1000),
-                )
-            ), {"Retry-After": _retry_after(retry)}
-        except LoadShed as err:
-            for query in submitted:
-                self.service.release(query)
-            retry = config.retry_after_shed_s
-            return 429, _JSON, json.dumps(
-                self._error_body(str(err), retry_after_ms=int(retry * 1000))
-            ), {"Retry-After": _retry_after(retry)}
-        except BreakerOpen as err:
-            for query in submitted:
-                self.service.release(query)
-            retry = max(0.5, err.verdict.get("retry_after_s", 0.0))
-            return 422, _JSON, json.dumps(
-                self._error_body(
-                    str(err), verdict=err.verdict,
-                    retry_after_ms=int(retry * 1000),
-                ), sort_keys=True,
-            ), {"Retry-After": _retry_after(retry)}
+            return self._refusal(err, str(err))
         try:
             remaining = deadline_at - time.monotonic()
             results = await asyncio.wait_for(
                 asyncio.gather(*(asyncio.shield(f) for f in futures)),
                 timeout=max(0.001, remaining),
             )
-        except asyncio.TimeoutError:
+        except (asyncio.TimeoutError, asyncio.CancelledError) as err:
+            # CancelledError: another request's abandonment cancelled a
+            # shared future from under us — answer this waiter honestly
+            # rather than unwinding.
             for query in queries:
                 self.service.release(query, timed_out=True)
-            retry = config.retry_after_shed_s
-            return 504, _JSON, json.dumps(
-                self._error_body(
-                    f"deadline of {deadline_ms:.0f}ms exceeded",
-                    retry_after_ms=int(retry * 1000),
-                )
-            ), {"Retry-After": _retry_after(retry)}
-        except asyncio.CancelledError:
-            # Another request's abandonment cancelled a shared future from
-            # under us — answer this waiter honestly rather than unwinding.
-            for query in queries:
-                self.service.release(query, timed_out=True)
-            retry = config.retry_after_shed_s
-            return 504, _JSON, json.dumps(
-                self._error_body(
-                    "shared computation was cancelled past its deadline",
-                    retry_after_ms=int(retry * 1000),
-                )
-            ), {"Retry-After": _retry_after(retry)}
+            return self._refusal(
+                err,
+                f"deadline of {deadline_ms:.0f}ms exceeded"
+                if isinstance(err, asyncio.TimeoutError)
+                else "shared computation was cancelled past its deadline",
+            )
         except Exception as err:
             for query in queries:
                 self.service.release(query)
@@ -1374,6 +1321,23 @@ class ReproServer:
                 {"results": answers}, sort_keys=True
             ), {}
         return 200, _JSON, json.dumps(answers[0], sort_keys=True), {}
+
+    def _refusal(
+        self, err: BaseException, message: str
+    ) -> Tuple[int, str, str, Dict[str, str]]:
+        """The answer to one refusal: status and ``Retry-After`` from
+        ``_REFUSALS``, plus the breaker's verdict or the store-only rung."""
+        status, retry, _ = _REFUSALS[type(err)]
+        fields: Dict[str, Any] = {}
+        if isinstance(err, BreakerOpen):
+            retry = max(0.5, err.verdict.get("retry_after_s", 0.0))
+            fields["verdict"] = err.verdict
+        elif isinstance(err, StoreOnlyMiss):
+            fields["rung"] = self.service.rung_name
+        body = self._error_body(message, retry_after_ms=int(retry * 1000), **fields)
+        return status, _JSON, json.dumps(body, sort_keys=True), {
+            "Retry-After": _retry_after(retry)
+        }
 
 
 def _retry_after(seconds: float) -> str:
@@ -1584,6 +1548,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_serve_arguments(parser)
     parser.add_argument("--log-file", default=None, metavar="PATH",
                         help="append JSONL log events (with run/trace ids) here")
+    # `repro serve` takes these two from its shared observability options.
+    parser.set_defaults(log_level=obs_log.DEFAULT_LEVEL, quiet=False)
     return parser
 
 
@@ -1601,32 +1567,55 @@ def _config_from_args(args) -> ServeConfig:
     )
 
 
-def configure_worker_observability(
-    args, run_id: str, worker_index: Optional[int] = None
+def bootstrap(
+    args, config: ServeConfig, run_id: str, sock=None,
+    worker_index: Optional[int] = None,
 ) -> None:
-    """Wire logging / beacon / flight recorder / faults for one process.
+    """Set up one serve process: the daemon, a pre-forked worker or the supervisor.
 
-    Shared by the single-process daemon and every pre-forked worker (each
-    worker gets its own beacon file suffix and the same seeded fault
-    plan — deterministic chaos per worker index).
+    Applies ``--log-level``/``--log-file``/``--quiet``, the beacon (worker
+    *i* mirrors to ``--status-file`` + ``.w<i>``) and the flight recorder;
+    a process that answers requests also gets ``--trace``, the seeded
+    fault plan (the same plan in every worker: deterministic chaos per
+    worker index) and the store.  Given the listener ``sock``, it prints
+    the listening banner that launchers wait for.
     """
+    supervisor = worker_index is None and config.workers > 1
     status_path = args.status_file
     if status_path and worker_index is not None:
         status_path = f"{status_path}.w{worker_index}"
-    obs_log.configure(log_file=args.log_file, run_id=run_id)
+    obs_log.configure(
+        level=args.log_level, log_file=args.log_file, quiet=args.quiet,
+        run_id=run_id,
+    )
     flight_beacon.configure_beacon(
-        role="serve", run_id=run_id, status_path=status_path
+        role="serve-supervisor" if supervisor else "serve",
+        run_id=run_id, status_path=status_path,
     )
     if args.flight:
         from ..obs.flight import recorder as flight_recorder
 
         flight_recorder.configure_recorder(run_dir=args.flight)
-    if args.trace:
-        trace.enable()
-    if args.inject_faults:
-        fault_injection.activate(
-            fault_injection.FaultPlan.parse(args.inject_faults)
-        )
+    if not supervisor:
+        if args.trace:
+            trace.enable()
+        if args.inject_faults:
+            fault_injection.activate(
+                fault_injection.FaultPlan.parse(args.inject_faults)
+            )
+        if config.store_dir:
+            from . import attach
+
+            store = attach(config.store_dir)
+            if worker_index is None:
+                obs_log.console(f"serve: persistent store at {store.root} "
+                                f"({len(store)} records)")
+    if sock is not None:
+        host, port = sock.getsockname()[:2]
+        print(f"serve: listening on http://{host}:{port} "
+              f"(max_pending={config.max_pending}, max_batch={config.max_batch}, "
+              f"workers={config.workers}, run={run_id})",
+              flush=True)
 
 
 async def run_server(
@@ -1634,24 +1623,17 @@ async def run_server(
     run_id: str,
     sock=None,
     worker_index: Optional[int] = None,
-    announce: bool = True,
     heartbeat=None,
     trace_path: Optional[str] = None,
 ) -> None:
     """One serving process's main loop: listen, handle, drain on signal.
 
-    ``sock`` is the supervisor-owned listener in pre-forked workers;
-    ``heartbeat`` an optional zero-arg callable invoked about once a
-    second so the supervisor can tell a live worker from a hung one.
+    ``sock`` is the listener :func:`bootstrap` announced (the
+    supervisor's, in pre-forked workers); ``heartbeat`` an optional
+    zero-arg callable invoked about once a second so the supervisor can
+    tell a live worker from a hung one.
     """
-    service = SimulationService(config)
-    server = ReproServer(service, run_id=run_id, worker_index=worker_index)
-    host, port = await server.start(sock=sock)
-    if announce:
-        print(f"serve: listening on http://{host}:{port} "
-              f"(max_pending={config.max_pending}, max_batch={config.max_batch}, "
-              f"workers={config.workers}, run={run_id})",
-              flush=True)
+    # Handlers first: the banner is already out, so a launcher may signal.
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -1659,6 +1641,9 @@ async def run_server(
             loop.add_signal_handler(sig, stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
+    service = SimulationService(config)
+    server = ReproServer(service, run_id=run_id, worker_index=worker_index)
+    await server.start(sock=sock)
 
     beat_task: Optional[asyncio.Task] = None
     if heartbeat is not None:
@@ -1673,16 +1658,15 @@ async def run_server(
         beat_task.cancel()
     await server.shutdown()
     budget = service.budget
-    print(f"serve: drained; served {budget.succeeded}/{budget.tasks} "
-          f"(shed {budget.faults_by_class.get('LoadShed', 0)})",
-          flush=True)
+    obs_log.console(f"serve: drained; served {budget.succeeded}/{budget.tasks} "
+                    f"(shed {budget.faults_by_class.get('LoadShed', 0)})")
     if trace_path:
         from ..trace.export import write_chrome_trace
 
         path = write_chrome_trace(
             trace_path, trace.drain_events(), {"run_id": run_id}
         )
-        print(f"serve: trace written to {path}")
+        obs_log.console(f"serve: trace written to {path}")
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
@@ -1692,21 +1676,22 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
 def serve_from_args(args: argparse.Namespace) -> int:
     """Run the daemon under the parsed serve flags (see :func:`serve_main`)."""
-    config = _config_from_args(args)
+    import socket
+
     from ..obs.manifest import new_run_id
 
+    config = _config_from_args(args)
     run_id = args.run_id or new_run_id()
+    # The listener the daemon, or the supervisor's workers, accept on.
+    sock = socket.create_server(
+        (config.host, config.port), backlog=max(128, config.max_pending),
+        family=socket.AF_INET6 if ":" in config.host else socket.AF_INET,
+    )
     if config.workers > 1:
         from .workers import supervise
 
-        return supervise(args, config, run_id)
-    configure_worker_observability(args, run_id)
-    if config.store_dir:
-        from . import attach
-
-        store = attach(config.store_dir)
-        print(f"serve: persistent store at {store.root} "
-              f"({len(store)} records)")
-    asyncio.run(run_server(config, run_id, trace_path=args.trace))
+        return supervise(args, config, run_id, sock)
+    bootstrap(args, config, run_id, sock=sock)
+    asyncio.run(run_server(config, run_id, sock=sock, trace_path=args.trace))
     obs_log.shutdown()
     return 0

@@ -35,7 +35,6 @@ import errno
 import os
 import select
 import signal
-import socket
 import sys
 import time
 from typing import Dict, List, Optional
@@ -76,15 +75,11 @@ def _worker_main(args, config, run_id, sock, heartbeat_fd, index) -> int:
     """Entry point of one forked worker (never returns: os._exit)."""
     import asyncio
 
-    from .serve import configure_worker_observability, run_server
+    from .serve import bootstrap, run_server
 
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    configure_worker_observability(args, run_id, worker_index=index)
-    if config.store_dir:
-        from . import attach
-
-        attach(config.store_dir)
+    bootstrap(args, config, run_id, worker_index=index)
 
     def _beat() -> None:
         try:
@@ -97,33 +92,21 @@ def _worker_main(args, config, run_id, sock, heartbeat_fd, index) -> int:
     asyncio.run(
         run_server(
             config, run_id, sock=sock, worker_index=index,
-            announce=False, heartbeat=_beat, trace_path=trace_path,
+            heartbeat=_beat, trace_path=trace_path,
         )
     )
     obs_log.shutdown()
+    sys.stdout.flush()  # the caller's os._exit flushes nothing
     return 0
 
 
-def supervise(args, config, run_id) -> int:
-    """Run the pre-forked fleet until SIGTERM/SIGINT; returns exit code."""
-    obs_log.configure(log_file=args.log_file, run_id=run_id)
-    flight_beacon.configure_beacon(
-        role="serve-supervisor", run_id=run_id, status_path=args.status_file
-    )
-    if args.flight:
-        from ..obs.flight import recorder as flight_recorder
+def supervise(args, config, run_id, sock) -> int:
+    """Run the pre-forked fleet on the listener ``sock`` until
+    SIGTERM/SIGINT; returns the exit code."""
+    from .serve import bootstrap
 
-        flight_recorder.configure_recorder(run_dir=args.flight)
-
-    sock = socket.create_server(
-        (config.host, config.port), backlog=max(128, config.max_pending)
-    )
-    sock.set_inheritable(True)
+    bootstrap(args, config, run_id, sock=sock)
     host, port = sock.getsockname()[:2]
-    print(f"serve: listening on http://{host}:{port} "
-          f"(max_pending={config.max_pending}, max_batch={config.max_batch}, "
-          f"workers={config.workers}, run={run_id})",
-          flush=True)
     obs_log.info(
         "serve.supervisor_started",
         host=host, port=port, workers=config.workers,
@@ -348,9 +331,8 @@ def supervise(args, config, run_id) -> int:
                 slot.pid = None
         sock.close()
         _publish_status(force=True)
-    print(f"serve: supervisor drained; respawns={respawns}"
-          f"{' (degraded to single worker)' if degraded_single else ''}",
-          flush=True)
+    obs_log.console(f"serve: supervisor drained; respawns={respawns}"
+                    f"{' (degraded to single worker)' if degraded_single else ''}")
     obs_log.info("serve.supervisor_stopped", respawns=respawns)
     obs_log.shutdown()
     return 0

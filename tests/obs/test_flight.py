@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import sys
 
 import pytest
 
@@ -204,6 +205,27 @@ def test_top_once_prints_one_frame(tmp_path, capsys):
     assert top_main(["--status-file", str(path), "--once"]) == 0
     out = capsys.readouterr().out
     assert "repro top" in out and "2/4" in out
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away (``repro top ... | head``)."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def isatty(self):
+        return False
+
+
+@pytest.mark.parametrize("mode", [["--once"], ["--plain", "--interval", "0"]])
+def test_top_exits_quietly_when_stdout_closes(tmp_path, capsys, monkeypatch, mode):
+    path = tmp_path / "status.json"
+    path.write_text(json.dumps(_sample_doc()))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert top_main(["--status-file", str(path), *mode]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_top_once_missing_source_exits_nonzero(tmp_path, capsys):

@@ -2,6 +2,12 @@
 and the connected request span tree under tracing."""
 
 import asyncio
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +15,13 @@ from repro.obs.flight import beacon as beacon_mod
 from repro.perf.cache import clear_cache
 from repro.store import detach
 from repro.store.serve import (
+    RUNG_FULL,
+    RUNG_SERIAL,
     ReproServer,
     ServeConfig,
     SimulationService,
     http_request,
+    http_request_retry,
 )
 from repro.trace import context as tc
 from repro.trace import tracer as trace
@@ -141,11 +150,12 @@ def test_metrics_expose_per_route_latency_histograms():
 # -------------------------------------------------------- request span tree
 
 
-def test_traced_request_forms_one_connected_tree():
+def _assert_traced_request_forms_one_connected_tree(rung):
     async def scenario():
         trace.enable()
         service, server, host, port = await _boot()
         try:
+            service.set_rung(rung, "test")
             ctx = tc.TraceContext.new()
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
@@ -169,6 +179,15 @@ def test_traced_request_forms_one_connected_tree():
     asyncio.run(scenario())
 
 
+def test_traced_request_forms_one_connected_tree():
+    _assert_traced_request_forms_one_connected_tree(RUNG_FULL)
+
+
+def test_traced_request_forms_one_connected_tree_on_serial_rung():
+    # The serial rung prices through the same engine call, so the same tree.
+    _assert_traced_request_forms_one_connected_tree(RUNG_SERIAL)
+
+
 def test_untraced_requests_record_no_spans():
     async def scenario():
         service, server, host, port = await _boot()
@@ -182,3 +201,46 @@ def test_untraced_requests_record_no_spans():
         assert trace.drain_events() == []
 
     asyncio.run(scenario())
+
+
+# ------------------------------------------------------- process bootstrap
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_log_level_and_quiet_survive_daemon_start(tmp_path, workers):
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("requires os.fork")
+    repo = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONUNBUFFERED="1")
+    err_path = tmp_path / "stderr.log"
+    with open(err_path, "w") as err_file:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--no-watchdog", "--workers", str(workers),
+             "--log-level", "debug", "--quiet"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=err_file,
+            text=True,
+        )
+        try:
+            match = re.search(r"listening on http://[0-9.]+:(\d+)",
+                              proc.stdout.readline())
+            assert match, "serve did not announce its port"
+            status, _, _ = asyncio.run(http_request_retry(
+                "127.0.0.1", int(match.group(1)), "GET", "/healthz",
+                deadline_s=30.0,
+            ))
+            assert status == 200
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert proc.returncode == 0
+    err = err_path.read_text()
+    # --log-level debug reaches every serving process: info events print.
+    assert "serve.listening" in err
+    if workers > 1:
+        assert "serve.worker_spawned" in err
+    # --quiet: the banner launchers wait for is the only stdout line.
+    assert "drained" not in out

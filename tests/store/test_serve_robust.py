@@ -55,41 +55,71 @@ async def _boot(**overrides):
     return service, server, host, port
 
 
-# --------------------------------------------------------------- Retry-After
+async def _simulations_reported(host, port):
+    """``(repro_serve_simulations_total, /statusz serve.simulations)``."""
+    _, text = await http_request(host, port, "GET", "/metrics")
+    total = next(
+        (float(line.split()[1]) for line in text.splitlines()
+         if line.startswith("repro_serve_simulations_total ")),
+        None,
+    )
+    _, doc = await http_request(host, port, "GET", "/statusz")
+    return total, doc["serve"]["simulations"]
 
 
-def test_load_shed_carries_retry_after_and_run_id():
+# ------------------------------------------------------------- refusals
+
+
+def _open_breaker(service):
+    service.breakers.record_failure(
+        Query.parse({"spec": SPEC}).fingerprint, "AuditFault", "test"
+    )
+
+
+#: Refusal -> (arrange the service, request headers, status, fault class).
+REFUSAL_CASES = {
+    "shed": (lambda s: setattr(s.config, "max_pending", 0), {}, 429, "LoadShed"),
+    "drain": (lambda s: setattr(s, "draining", True), {}, 503, "Draining"),
+    "store-only": (
+        lambda s: s.set_rung(RUNG_STORE_ONLY, "test"), {}, 503, "StoreOnlyMiss"
+    ),
+    "breaker": (_open_breaker, {}, 422, "BreakerOpen"),
+    # A batch window far beyond the deadline: pricing cannot start first.
+    "deadline": (
+        lambda s: setattr(s.config, "batch_window_s", 5.0),
+        {"X-Repro-Deadline-Ms": "60"}, 504, "DeadlineExceeded",
+    ),
+}
+
+
+def _charges(budget):
+    return budget.tasks, budget.failed, sum(budget.faults_by_class.values())
+
+
+@pytest.mark.parametrize("case", list(REFUSAL_CASES))
+def test_refusal_carries_retry_after_and_is_charged_once(case):
+    arrange, headers, want_status, fault = REFUSAL_CASES[case]
+
     async def scenario():
-        service, server, host, port = await _boot(max_pending=0)
+        service, server, host, port = await _boot(breaker_threshold=1)
         try:
-            status, body, headers = await http_request(
+            arrange(service)
+            before = _charges(service.budget)
+            status, body, response_headers = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
-                return_headers=True,
+                headers=headers, return_headers=True,
             )
-            assert status == 429
-            assert int(headers["retry-after"]) >= 1
-            assert body["run_id"] == "robust-test"
+            assert status == want_status
+            assert int(response_headers["retry-after"]) >= 1
             assert body["retry_after_ms"] > 0
-            assert headers["x-repro-run-id"] == "robust-test"
-        finally:
-            await server.shutdown()
-
-    asyncio.run(scenario())
-
-
-def test_draining_refusal_carries_retry_after():
-    async def scenario():
-        service, server, host, port = await _boot()
-        try:
-            service.draining = True
-            status, body, headers = await http_request(
-                host, port, "POST", "/v1/conv", {"spec": SPEC},
-                return_headers=True,
-            )
-            assert status == 503
-            assert "draining" in body["error"]
-            assert int(headers["retry-after"]) >= 1
             assert body["run_id"] == "robust-test"
+            assert response_headers["x-repro-run-id"] == "robust-test"
+            assert _charges(service.budget) == tuple(n + 1 for n in before)
+            assert service.budget.faults_by_class[fault] == 1
+            if case == "drain":
+                assert "draining" in body["error"]
+            if case == "store-only":
+                assert body["rung"] == "store-only"
         finally:
             service.draining = False
             await server.shutdown()
@@ -316,6 +346,8 @@ def test_batch_failure_attributed_serially_not_collectively():
             assert service.breakers.open_keys() != []
             innocent = Query.parse({"spec": SPEC})
             assert innocent.fingerprint not in service.breakers.open_keys()
+            # The replay's engine work shows in /metrics as in /statusz.
+            assert await _simulations_reported(host, port) == (1, 1)
         finally:
             await server.shutdown()
 
@@ -337,6 +369,7 @@ def test_serial_rung_still_answers():
             assert service.simulations == 1
             status, doc = await http_request(host, port, "GET", "/statusz")
             assert doc["serve"]["rung"] == "serial"
+            assert await _simulations_reported(host, port) == (1, 1)
         finally:
             await server.shutdown()
 
